@@ -16,24 +16,14 @@ from .datatypes import (
     SparseClusterResult,
     WeightFunction,
     WeightVector,
-    validate_dataset,
 )
-from .dispersion import (
-    DispersionFunction,
-    DispersionVector,
-    bcss_per_feature,
-    bcss_pointwise,
-    weighted_objective,
-    weighted_sq_distance,
-    weighted_sq_distance_mv,
-)
+from .dispersion import Dispersion, bcss_per_feature, bcss_pointwise, weighted_objective
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
     sparse_kmeans_fd,
     sparse_kmeans_mv,
-    uniform_weight_array_fd,
-    uniform_weight_vector,
+    uniform_weights,
     weighted_kmeans,
 )
 from .errors import (

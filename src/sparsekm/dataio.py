@@ -156,9 +156,13 @@ def read_labels(path) -> Partition:
     for i, row in enumerate(rows):
         if len(row) != 1:
             raise ValidationError(f"{path}: label row {i + 1} has {len(row)} fields")
-        raw = float(row[0])
-        if raw != int(raw):
-            raise ValidationError(f"{path}: non-integer label at row {i + 1}")
+        try:
+            raw = float(row[0])
+            integral = raw == int(raw)
+        except (ValueError, OverflowError):  # not a number, nan or inf
+            integral = False
+        if not integral:
+            raise ValidationError(f"{path}: non-integer label at row {i + 1}: {row[0]!r}")
         vals.append(int(raw))
     return Partition.from_labels(np.asarray(vals, dtype=np.int64))
 

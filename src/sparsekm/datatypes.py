@@ -45,10 +45,15 @@ def check_finite(values: np.ndarray, what: str = "value") -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N observations of p real features, stored as an (N, p) matrix."""
+    """N observations of p real features, stored as an (N, p) matrix.
+
+    A feature vector is a curve whose samples each carry unit mass:
+    ``quad_weights`` is None and the domain measure is p.
+    """
 
     values: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    quad_weights = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -76,6 +81,10 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def domain_measure(self) -> float:
+        return float(self.n_features)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -142,19 +151,6 @@ class FunctionalDataset:
     @property
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.grid)))
-
-
-def validate_dataset(d):
-    """Re-run all construction invariants on ``d`` and return it.
-
-    Useful when arrays arrive from unchecked sources (e.g. deserialized
-    objects) and the caller wants a validated handle.
-    """
-    if isinstance(d, Dataset):
-        return Dataset(d.values, d.feature_names)
-    if isinstance(d, FunctionalDataset):
-        return FunctionalDataset(d.grid, d.values)
-    raise TypeError(f"not a dataset: {type(d).__name__}")
 
 
 @dataclass(frozen=True, eq=False)

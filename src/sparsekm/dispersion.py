@@ -1,4 +1,4 @@
-"""Between-cluster dispersion scores and weighted squared distances."""
+"""Between-cluster dispersion scores and the weighted objective."""
 
 from __future__ import annotations
 
@@ -6,46 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import (
-    Dataset,
-    FunctionalDataset,
-    Partition,
-    WeightFunction,
-    WeightVector,
-    check_finite,
-    readonly_array,
-)
-from .errors import DimensionMismatch, GridMismatch, PartitionMismatch
+from .datatypes import Dataset, FunctionalDataset, Partition, check_finite, readonly_array
+from .errors import DimensionMismatch, PartitionMismatch
 
 
 @dataclass(frozen=True)
-class DispersionVector:
-    """Per-feature between-cluster separation scores.
+class Dispersion:
+    """Between-cluster separation per feature or per grid point.
 
-    ``clamped`` records that floating-point cancellation produced small
-    negative values that were clipped to zero.
+    ``quad_weights`` holds each sample's mass; None means unit masses, as
+    for feature vectors. ``clamped`` records that floating-point
+    cancellation produced small negative values that were clipped to zero.
     """
 
     b: np.ndarray
-    clamped: bool = False
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
-        check_finite(b, "dispersion")
-        object.__setattr__(self, "b", readonly_array(b))
-
-
-@dataclass(frozen=True)
-class DispersionFunction:
-    """Pointwise between-cluster separation sampled on a grid.
-
-    ``clamped`` records that floating-point cancellation produced small
-    negative values that were clipped to zero.
-    """
-
-    grid: np.ndarray
-    b: np.ndarray
-    quad_weights: np.ndarray
+    quad_weights: np.ndarray | None = None
     clamped: bool = False
 
     def __post_init__(self):
@@ -54,31 +29,42 @@ class DispersionFunction:
         if np.any(b < 0.0):
             idx = int(np.argmax(b < 0.0))
             raise PartitionMismatch(f"negative dispersion at index {idx}")
-        object.__setattr__(self, "grid", readonly_array(self.grid))
         object.__setattr__(self, "b", readonly_array(b))
-        object.__setattr__(self, "quad_weights", readonly_array(self.quad_weights))
+        if self.quad_weights is not None:
+            qw = readonly_array(self.quad_weights)
+            if qw.shape != b.shape:
+                raise DimensionMismatch(
+                    f"{qw.size} quad weights for {b.size} dispersion samples"
+                )
+            object.__setattr__(self, "quad_weights", qw)
 
 
-def _check_partition(part: Partition, n_obs: int) -> None:
-    if part.n_obs != n_obs:
+def _between(d, part: Partition):
+    """Moment-form between-cluster sum of squares of every column.
+
+    sum_k S_k^2 / N_k - S^2 / N with S_k the cluster column sums; returns
+    the values clipped at zero and whether any needed clipping.
+    """
+    if part.n_obs != d.n_obs:
         raise PartitionMismatch(
-            f"partition labels {part.n_obs} observations, dataset has {n_obs}"
+            f"partition labels {part.n_obs} observations, dataset has {d.n_obs}"
         )
-
-
-def _groupwise_moments(values: np.ndarray, part: Partition):
-    """Per-cluster column sums and cluster sizes."""
-    k = part.k
-    sums = np.empty((k, values.shape[1]), dtype=np.float64)
-    sizes = np.empty(k, dtype=np.float64)
-    for j in range(1, k + 1):
+    values = d.values
+    sums = np.empty((part.k, values.shape[1]), dtype=np.float64)
+    sizes = np.empty(part.k, dtype=np.float64)
+    for j in range(1, part.k + 1):
         members = part.labels == j
         sizes[j - 1] = np.count_nonzero(members)
         sums[j - 1] = values[members].sum(axis=0)
-    return sums, sizes
+    total = values.sum(axis=0)
+    between = (sums * sums / sizes[:, None]).sum(axis=0) - total * total / d.n_obs
+    clamped = bool(np.any(between < 0.0))
+    if clamped:
+        between = np.maximum(between, 0.0)
+    return between, clamped
 
 
-def bcss_per_feature(d: Dataset, part: Partition) -> DispersionVector:
+def bcss_per_feature(d: Dataset, part: Partition) -> Dispersion:
     """Per-feature between-cluster sum of squares, pair-sum convention.
 
     Computed as the total mean pairwise squared difference minus its
@@ -87,99 +73,43 @@ def bcss_per_feature(d: Dataset, part: Partition) -> DispersionVector:
     classical centroid-form BCSS; the thresholding solvers are invariant
     to that scale.
     """
-    _check_partition(part, d.n_obs)
-    sums, sizes = _groupwise_moments(d.values, part)
-    total = d.values.sum(axis=0)
-    between = (sums * sums / sizes[:, None]).sum(axis=0) - total * total / d.n_obs
-    clamped = bool(np.any(between < 0.0))
-    if clamped:
-        between = np.maximum(between, 0.0)
-    return DispersionVector(2.0 * between, clamped=clamped)
+    between, clamped = _between(d, part)
+    return Dispersion(2.0 * between, clamped=clamped)
 
 
-def bcss_pointwise(d: FunctionalDataset, part: Partition) -> DispersionFunction:
+def bcss_pointwise(d: FunctionalDataset, part: Partition) -> Dispersion:
     """Pointwise between-cluster sum of squares on the dataset grid.
 
     Uses the half-pair-sum convention, which equals the classical
     centroid-form BCSS at every grid point. Tiny negative values from
     cancellation are clipped to zero and flagged.
     """
-    _check_partition(part, d.n_obs)
-    sums, sizes = _groupwise_moments(d.values, part)
-    total = d.values.sum(axis=0)
-    between = (sums * sums / sizes[:, None]).sum(axis=0) - total * total / d.n_obs
-    clamped = bool(np.any(between < 0.0))
-    if clamped:
-        between = np.maximum(between, 0.0)
-    return DispersionFunction(d.grid, between, d.quad_weights, clamped=clamped)
-
-
-def _weights_array(w, expect: int, err, what: str) -> np.ndarray:
-    arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
-    if arr.ndim != 1 or arr.size != expect:
-        raise err(f"{what}: expected length {expect}, got {arr.size}")
-    return arr
-
-
-def weighted_sq_distance_mv(x_a, x_b, w) -> float:
-    """Weighted squared Euclidean distance sum_j w_j (x_aj - x_bj)^2."""
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    if x_a.shape != x_b.shape or x_a.ndim != 1:
-        raise DimensionMismatch(
-            f"vectors have shapes {x_a.shape} and {x_b.shape}"
-        )
-    w_arr = _weights_array(w, x_a.size, DimensionMismatch, "weights")
-    diff = x_a - x_b
-    return float(np.sum(w_arr * diff * diff))
-
-
-def weighted_sq_distance(f_a, f_b, w, quad_weights=None) -> float:
-    """Quadrature approximation of the weighted squared L2 distance.
-
-    ``w`` may be a WeightFunction (its quadrature masses are used unless
-    ``quad_weights`` overrides them) or a plain sample vector, in which
-    case ``quad_weights`` is required.
-    """
-    f_a = np.asarray(f_a, dtype=np.float64)
-    f_b = np.asarray(f_b, dtype=np.float64)
-    if f_a.shape != f_b.shape or f_a.ndim != 1:
-        raise GridMismatch(f"curves have shapes {f_a.shape} and {f_b.shape}")
-    if quad_weights is None:
-        if isinstance(w, WeightFunction):
-            quad_weights = w.quad_weights
-        else:
-            raise GridMismatch("quad_weights required when w is a bare vector")
-    w_arr = _weights_array(w, f_a.size, GridMismatch, "weights")
-    qw = np.asarray(quad_weights, dtype=np.float64)
-    if qw.shape != f_a.shape:
-        raise GridMismatch(
-            f"quad weights length {qw.size} does not match curves ({f_a.size})"
-        )
-    diff = f_a - f_b
-    return float(np.sum(qw * w_arr * diff * diff))
+    between, clamped = _between(d, part)
+    return Dispersion(between, d.quad_weights, clamped)
 
 
 def weighted_objective(w, b) -> float:
     """Weighted between-cluster dispersion, the alternating loop's objective.
 
-    For vector problems this is sum_j w_j b_j; for functional problems the
-    quadrature form sum_g q_g w_g b_g.
+    sum_j w_j b_j under unit masses; the quadrature form sum_g q_g w_g b_g
+    when ``b`` carries quadrature masses.
     """
-    if isinstance(b, DispersionFunction):
-        w_arr = _weights_array(w, b.b.size, GridMismatch, "weights")
-        return float(np.sum(b.quad_weights * w_arr * b.b))
     b_arr = np.asarray(getattr(b, "b", b), dtype=np.float64)
-    w_arr = _weights_array(w, b_arr.size, DimensionMismatch, "weights")
-    return float(np.dot(w_arr, b_arr))
+    w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
+    if w_arr.shape != b_arr.shape:
+        raise DimensionMismatch(
+            f"weights length {w_arr.size} does not match dispersion ({b_arr.size})"
+        )
+    qw = getattr(b, "quad_weights", None)
+    # Two formulas on purpose: each path keeps its own summation order.
+    if qw is None:
+        return float(np.dot(w_arr, b_arr))
+    return float(np.sum(qw * w_arr * b_arr))
 
 
 __all__ = [
-    "DispersionVector",
-    "DispersionFunction",
+    "Dispersion",
     "bcss_per_feature",
     "bcss_pointwise",
-    "weighted_sq_distance",
-    "weighted_sq_distance_mv",
     "weighted_objective",
 ]

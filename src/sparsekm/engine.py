@@ -13,14 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import (
-    Dataset,
-    FunctionalDataset,
-    Partition,
-    SparseClusterResult,
-    WeightFunction,
-    WeightVector,
-)
+from .datatypes import Dataset, FunctionalDataset, Partition, SparseClusterResult
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -28,7 +21,6 @@ from .dispersion import (
 )
 from .errors import (
     DimensionMismatch,
-    GridMismatch,
     KTooLarge,
     PartitionMismatch,
     SparsityOutOfRange,
@@ -138,21 +130,13 @@ def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
 
 
 def _transformed_matrix(d, w) -> np.ndarray:
-    """Scale columns by sqrt(weight), folding in quadrature masses for curves."""
-    if isinstance(d, FunctionalDataset):
-        w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
-        if w_arr.shape != d.grid.shape:
-            raise GridMismatch(
-                f"weights length {w_arr.size} does not match grid ({d.grid.size})"
-            )
-        scale = d.quad_weights * w_arr
-    else:
-        w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
-        if w_arr.ndim != 1 or w_arr.size != d.n_features:
-            raise DimensionMismatch(
-                f"weights length {w_arr.size} does not match features ({d.n_features})"
-            )
-        scale = w_arr
+    """Scale columns by sqrt(weight times sample mass); unit masses for vectors."""
+    w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
+    if w_arr.shape != (d.values.shape[1],):
+        raise DimensionMismatch(
+            f"weights length {w_arr.size} does not match the {d.values.shape[1]} columns"
+        )
+    scale = w_arr if d.quad_weights is None else d.quad_weights * w_arr
     if np.any(scale < 0.0):
         raise SparsityOutOfRange("weights must be nonnegative")
     return d.values * np.sqrt(scale)[None, :]
@@ -195,9 +179,8 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
     """K-means under a fixed feature weighting.
 
-    ``d`` is a Dataset with a WeightVector (or bare weight array) or a
-    FunctionalDataset with a WeightFunction; ``cfg.k`` sets the number of
-    clusters. An optional ``init_partition`` joins the restart pool as a
+    ``w`` is a WeightVector, WeightFunction or bare array with one entry
+    per column of ``d``; ``cfg.k`` sets the number of clusters. An optional ``init_partition`` joins the restart pool as a
     warm start and wins ties.
     """
     z = _transformed_matrix(d, w)
@@ -205,14 +188,9 @@ def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = 
     return part
 
 
-def uniform_weight_vector(p: int) -> WeightVector:
-    """The no-selection weighting: every feature at 1/sqrt(p)."""
-    return WeightVector(np.full(p, 1.0 / np.sqrt(p)), m=0)
-
-
-def uniform_weight_array_fd(d: FunctionalDataset) -> np.ndarray:
-    """Constant weight with unit quadrature L2 norm (no domain selection)."""
-    return np.full(d.n_points, 1.0 / np.sqrt(d.domain_measure))
+def uniform_weights(d) -> np.ndarray:
+    """The no-selection weighting: constant, with unit (quadrature) L2 norm."""
+    return np.full(d.values.shape[1], 1.0 / np.sqrt(d.domain_measure))
 
 
 def _alternate(d, k, cfg, solve, dispersion):
@@ -223,11 +201,7 @@ def _alternate(d, k, cfg, solve, dispersion):
     (fixed point or cycle) or when the weights stall within tol_weights.
     """
     cfg = replace(cfg, k=int(k))
-    if isinstance(d, FunctionalDataset):
-        init_w = uniform_weight_array_fd(d)
-    else:
-        init_w = uniform_weight_vector(d.n_features)
-    part = weighted_kmeans(d, init_w, cfg)
+    part = weighted_kmeans(d, uniform_weights(d), cfg)
 
     trace = []
     seen = {part.key()}
@@ -311,7 +285,7 @@ def sparse_kmeans_fd(d: FunctionalDataset, k: int, m: float, cfg: KMeansConfig |
         d,
         k,
         cfg,
-        solve=lambda disp: functional_threshold_weights(disp, m),
+        solve=lambda disp: functional_threshold_weights(disp, m, grid=d.grid),
         dispersion=bcss_pointwise,
     )
 
@@ -322,6 +296,5 @@ __all__ = [
     "sparse_kmeans_mv",
     "soft_sparse_kmeans_mv",
     "sparse_kmeans_fd",
-    "uniform_weight_vector",
-    "uniform_weight_array_fd",
+    "uniform_weights",
 ]

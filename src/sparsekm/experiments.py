@@ -2,8 +2,8 @@
 
 Each run draws a fresh dataset, reseeds every method independently, scores
 each method's partition against the truth, and aggregates mean and spread
-per method. These drive the `simulate` CLI subcommand, the scripts, and
-the acceptance checks.
+per method. These drive the `simulate` CLI subcommand and the acceptance
+checks.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .engine import (
     soft_sparse_kmeans_mv,
     sparse_kmeans_fd,
     sparse_kmeans_mv,
-    uniform_weight_array_fd,
-    uniform_weight_vector,
+    uniform_weights,
     weighted_kmeans,
 )
 from .metrics import cer
@@ -116,7 +115,7 @@ def run_gaussian_benchmark(
                 template, k=scenario.k, seed=derive_seed(seed, STREAM_METHOD, r, idx)
             )
 
-        standard = weighted_kmeans(data, uniform_weight_vector(p), method_cfg(0))
+        standard = weighted_kmeans(data, uniform_weights(data), method_cfg(0))
         soft = soft_sparse_kmeans_mv(data, scenario.k, s, method_cfg(1))
         hard = sparse_kmeans_mv(data, scenario.k, m, method_cfg(2))
         records += [
@@ -151,7 +150,7 @@ def run_curve_benchmark(
         def method_cfg(idx):
             return replace(template, k=2, seed=derive_seed(seed, STREAM_METHOD, r, idx))
 
-        standard = weighted_kmeans(data, uniform_weight_array_fd(data), method_cfg(0))
+        standard = weighted_kmeans(data, uniform_weights(data), method_cfg(0))
         sparse = sparse_kmeans_fd(data, 2, m, method_cfg(1))
         records += [
             BenchmarkRun(r, "standard", cer(truth, standard)),

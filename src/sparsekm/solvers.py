@@ -13,7 +13,6 @@ import operator
 import numpy as np
 
 from .datatypes import WeightFunction, WeightVector, check_finite
-from .dispersion import DispersionFunction
 from .errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
@@ -131,15 +130,13 @@ def soft_threshold_weights(a, s: float) -> WeightVector:
 
 
 def _function_context(b, quad, grid):
-    """Normalize (dispersion, quadrature, grid) from typed or bare inputs."""
-    if isinstance(b, DispersionFunction):
-        b_arr = b.b
-        qw = b.quad_weights if quad is None else np.asarray(quad, dtype=np.float64)
-        g = b.grid if grid is None else np.asarray(grid, dtype=np.float64)
-        if qw.shape != b_arr.shape or g.shape != b_arr.shape:
-            raise GridMismatch("quad weights or grid do not match the dispersion samples")
-        return b_arr, qw, g
-    b_arr = np.asarray(b, dtype=np.float64)
+    """Normalize (dispersion, quadrature, grid) from a Dispersion or bare inputs.
+
+    ``quad`` defaults to the masses the dispersion carries.
+    """
+    if quad is None:
+        quad = getattr(b, "quad_weights", None)
+    b_arr = np.asarray(getattr(b, "b", b), dtype=np.float64)
     if b_arr.ndim != 1 or b_arr.size < 1:
         raise GridMismatch("dispersion must be a non-empty 1-d vector")
     check_finite(b_arr, "dispersion")
@@ -195,8 +192,9 @@ def functional_threshold_weights(b, m: float, quad=None, grid=None) -> WeightFun
 
     Zeroes b outside its superlevel set at the level chosen by
     ``functional_threshold_level`` and normalizes the rest to unit
-    quadrature L2 norm. When ``b`` is a bare vector, ``quad`` is required
-    and ``grid`` defaults to cell midpoints implied by the masses.
+    quadrature L2 norm. ``quad`` defaults to the masses a Dispersion
+    carries and is required with a bare vector; ``grid`` defaults to cell
+    midpoints implied by the masses.
     """
     b_arr, qw, g = _function_context(b, quad, grid)
     k = functional_threshold_level(b_arr, m, qw)

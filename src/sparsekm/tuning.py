@@ -105,12 +105,27 @@ def permute_curves_within_blocks(
     return out
 
 
-def _gap_scan(candidates, observed_fn, reference_fn, b_perms):
-    """Shared gap computation over a candidate grid.
+def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
+    """Permutation-gap scan shared by both tuners.
 
-    observed_fn(m) and reference_fn(m, b) return positive objectives or
-    raise NumericalError; either outcome excludes the candidate.
+    ``fit(data, k, m, cfg)`` returns a SparseClusterResult and
+    ``permute(rng)`` one reference dataset. The same b_perms references are
+    reused across all candidates so the curve is comparable along m. A
+    candidate whose observed or reference objective is nonpositive, or
+    whose fit raises NumericalError, is excluded.
     """
+    if not candidates:
+        raise SparsityOutOfRange("m_grid is empty")
+    b_perms = int(b_perms)
+    if b_perms < 1:
+        raise ValidationError(f"b_perms must be >= 1, got {b_perms}")
+    references = []
+    for b in range(b_perms):
+        rng = spawn_rng(cfg.seed, STREAM_PERMUTE, b)
+        references.append(
+            (permute(rng), replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1)))
+        )
+
     n_m = len(candidates)
     obs_log = np.full(n_m, np.nan)
     perm_mean = np.full(n_m, np.nan)
@@ -119,12 +134,12 @@ def _gap_scan(candidates, observed_fn, reference_fn, b_perms):
     excluded = np.zeros(n_m, dtype=bool)
     for i, m in enumerate(candidates):
         try:
-            obj = observed_fn(m)
+            obj = fit(d, k, m, cfg).objective
             if obj <= 0.0:
                 raise DegenerateObjective(f"objective {obj} at m={m}")
             logs = np.empty(b_perms)
-            for b in range(b_perms):
-                ref = reference_fn(m, b)
+            for b, (ref_d, ref_cfg) in enumerate(references):
+                ref = fit(ref_d, k, m, ref_cfg).objective
                 if ref <= 0.0:
                     raise DegenerateObjective(
                         f"reference objective {ref} at m={m}, replicate {b}"
@@ -144,7 +159,18 @@ def _gap_scan(candidates, observed_fn, reference_fn, b_perms):
         )
     valid = np.nonzero(~excluded)[0]
     best = valid[int(np.argmax(gap[valid]))]  # argmax keeps the first (smaller m) on ties
-    return best, gap, obs_log, perm_mean, perm_sd, excluded
+    if one_sd_rule:
+        best = _apply_one_sd_rule(best, gap, perm_sd, excluded)
+    curve = GapCurve(
+        np.asarray(candidates, dtype=np.float64),
+        gap,
+        obs_log,
+        perm_mean,
+        perm_sd,
+        excluded,
+        b_perms,
+    )
+    return candidates[best], curve
 
 
 def _apply_one_sd_rule(best, gap, perm_sd, excluded):
@@ -166,51 +192,17 @@ def tune_m_mv(
 ) -> tuple[int, GapCurve]:
     """Choose the number of zeroed features by the permutation gap.
 
-    Reference datasets shuffle every feature column independently; the same
-    b_perms references are reused across all candidates so the curve is
-    comparable along m.
+    Reference datasets shuffle every feature column independently.
     """
-    cfg = cfg or KMeansConfig()
     candidates = sorted({int(m) for m in np.asarray(m_grid).ravel()})
-    if not candidates:
-        raise SparsityOutOfRange("m_grid is empty")
     p = d.n_features
     for m in candidates:
         if not 0 <= m < p:
             raise SparsityOutOfRange(f"candidate m={m} outside [0, {p})")
-
-    references = []
-    for b in range(int(b_perms)):
-        rng = spawn_rng(cfg.seed, STREAM_PERMUTE, b)
-        references.append(
-            (
-                Dataset(permute_feature_columns(d.values, rng)),
-                replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1)),
-            )
-        )
-
-    def observed(m):
-        return sparse_kmeans_mv(d, k, m, cfg).objective
-
-    def reference(m, b):
-        ref_d, ref_cfg = references[b]
-        return sparse_kmeans_mv(ref_d, k, m, ref_cfg).objective
-
-    best, gap, obs_log, perm_mean, perm_sd, excluded = _gap_scan(
-        candidates, observed, reference, int(b_perms)
+    return _gap_scan(
+        d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_mv,
+        lambda rng: Dataset(permute_feature_columns(d.values, rng)),
     )
-    if one_sd_rule:
-        best = _apply_one_sd_rule(best, gap, perm_sd, excluded)
-    curve = GapCurve(
-        np.asarray(candidates, dtype=np.float64),
-        gap,
-        obs_log,
-        perm_mean,
-        perm_sd,
-        excluded,
-        int(b_perms),
-    )
-    return candidates[best], curve
 
 
 def tune_m_fd(
@@ -227,50 +219,17 @@ def tune_m_fd(
     Reference datasets shuffle curve identities within each of n contiguous
     equal-measure subdomain blocks.
     """
-    cfg = cfg or KMeansConfig()
     candidates = sorted({float(m) for m in np.asarray(m_grid).ravel()})
-    if not candidates:
-        raise SparsityOutOfRange("m_grid is empty")
     mu = float(np.sum(d.quad_weights))
     for m in candidates:
         if not 0.0 < m < mu:
             raise SparsityOutOfRange(f"candidate m={m} outside (0, {mu})")
-
-    references = []
-    for b in range(int(b_perms)):
-        rng = spawn_rng(cfg.seed, STREAM_PERMUTE, b)
-        permuted = permute_curves_within_blocks(
-            d.values, d.quad_weights, int(n_subdomains), rng
-        )
-        references.append(
-            (
-                FunctionalDataset(d.grid, permuted),
-                replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1)),
-            )
-        )
-
-    def observed(m):
-        return sparse_kmeans_fd(d, k, m, cfg).objective
-
-    def reference(m, b):
-        ref_d, ref_cfg = references[b]
-        return sparse_kmeans_fd(ref_d, k, m, ref_cfg).objective
-
-    best, gap, obs_log, perm_mean, perm_sd, excluded = _gap_scan(
-        candidates, observed, reference, int(b_perms)
+    return _gap_scan(
+        d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_fd,
+        lambda rng: FunctionalDataset(
+            d.grid, permute_curves_within_blocks(d.values, d.quad_weights, int(n_subdomains), rng)
+        ),
     )
-    if one_sd_rule:
-        best = _apply_one_sd_rule(best, gap, perm_sd, excluded)
-    curve = GapCurve(
-        np.asarray(candidates, dtype=np.float64),
-        gap,
-        obs_log,
-        perm_mean,
-        perm_sd,
-        excluded,
-        int(b_perms),
-    )
-    return candidates[best], curve
 
 
 __all__ = [

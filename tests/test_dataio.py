@@ -142,9 +142,10 @@ class TestLabels:
 
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text("1\n2.5\n")
-        with pytest.raises(ValidationError, match="row 2"):
-            read_labels(path)
+        for bad in ("2.5", "abc", "inf", "nan"):
+            path.write_text(f"1\n{bad}\n")
+            with pytest.raises(ValidationError, match="row 2"):
+                read_labels(path)
 
     def test_multi_field_row_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"

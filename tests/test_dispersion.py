@@ -11,13 +11,10 @@ from sparsekm.datatypes import (
     trapezoid_weights,
 )
 from sparsekm.dispersion import (
-    DispersionFunction,
-    DispersionVector,
+    Dispersion,
     bcss_per_feature,
     bcss_pointwise,
     weighted_objective,
-    weighted_sq_distance,
-    weighted_sq_distance_mv,
 )
 from sparsekm.errors import PartitionMismatch, ValidationError
 
@@ -118,42 +115,22 @@ class TestBcssPointwise:
             ref = classical_bcss(vals[:, g_idx], part)
             assert disp.b[g_idx] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
-    def test_carries_grid_and_quad(self):
+    def test_carries_quad_weights(self):
         grid = np.linspace(0.0, 2.0, 5)
         fd = FunctionalDataset(grid, np.random.default_rng(1).normal(size=(4, 5)))
         part = Partition(np.array([1, 1, 2, 2]), 2)
         disp = bcss_pointwise(fd, part)
-        assert np.array_equal(disp.grid, grid)
         assert np.array_equal(disp.quad_weights, fd.quad_weights)
 
     def test_rejects_negative_samples(self):
         grid = np.array([0.0, 1.0])
         with pytest.raises(ValidationError):
-            DispersionFunction(grid, np.array([1.0, -0.5]), trapezoid_weights(grid), False)
+            Dispersion(np.array([1.0, -0.5]), trapezoid_weights(grid), False)
 
 
 class TestWeightedDistanceAndObjective:
-    def test_weighted_sq_distance_mv(self):
-        w = np.array([1.0, 0.0, 0.5])
-        x = np.array([1.0, 5.0, 2.0])
-        y = np.array([0.0, -9.0, 4.0])
-        assert weighted_sq_distance_mv(x, y, w) == pytest.approx(1.0 + 0.0 + 2.0)
-
-    def test_weighted_sq_distance_fd(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        qw = trapezoid_weights(grid)
-        raw = np.array([0.0, 0.0, 1.0, 2.0, 2.0])
-        wnorm = raw / np.sqrt(np.sum(qw * raw**2))
-        from sparsekm.datatypes import WeightFunction
-
-        wf = WeightFunction(grid, wnorm, 0.375, qw)
-        f = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
-        g = np.zeros(5)
-        ref = float(np.sum(qw * wnorm * (f - g) ** 2))
-        assert weighted_sq_distance(f, g, wf) == pytest.approx(ref, rel=1e-12)
-
     def test_objective_vector_is_dot_product(self):
-        disp = DispersionVector(np.array([1.0, 2.0, 3.0]), False)
+        disp = Dispersion(np.array([1.0, 2.0, 3.0]))
         wv = WeightVector(np.array([0.6, 0.0, 0.8]), 1, False)
         assert weighted_objective(wv, disp) == pytest.approx(0.6 + 2.4)
 
@@ -161,7 +138,7 @@ class TestWeightedDistanceAndObjective:
         grid = np.linspace(0.0, 1.0, 5)
         qw = trapezoid_weights(grid)
         b = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        disp = DispersionFunction(grid, b, qw, False)
+        disp = Dispersion(b, qw, False)
         raw = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         wnorm = raw / np.sqrt(np.sum(qw * raw**2))
         from sparsekm.datatypes import WeightFunction

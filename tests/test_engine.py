@@ -10,8 +10,7 @@ from sparsekm.engine import (
     soft_sparse_kmeans_mv,
     sparse_kmeans_fd,
     sparse_kmeans_mv,
-    uniform_weight_array_fd,
-    uniform_weight_vector,
+    uniform_weights,
     weighted_kmeans,
 )
 from sparsekm.errors import KTooLarge, ValidationError
@@ -50,12 +49,12 @@ class TestKMeansConfig:
 class TestWeightedKmeans:
     def test_recovers_separated_clouds(self):
         d, truth = three_clouds()
-        part = weighted_kmeans(d, uniform_weight_vector(4), KMeansConfig(k=3, seed=1))
+        part = weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=3, seed=1))
         assert cer(truth, part) == 0.0
 
     def test_labels_canonical_first_appearance(self):
         d, _ = three_clouds(seed=2)
-        part = weighted_kmeans(d, uniform_weight_vector(4), KMeansConfig(k=3, seed=5))
+        part = weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=3, seed=5))
         firsts = [int(np.nonzero(part.labels == g)[0][0]) for g in range(1, 4)]
         assert firsts == sorted(firsts)
         assert part.labels[0] == 1
@@ -63,18 +62,18 @@ class TestWeightedKmeans:
     def test_deterministic_under_seed(self):
         d, _ = three_clouds(seed=3)
         cfg = KMeansConfig(k=3, seed=42)
-        a = weighted_kmeans(d, uniform_weight_vector(4), cfg)
-        b = weighted_kmeans(d, uniform_weight_vector(4), cfg)
+        a = weighted_kmeans(d, uniform_weights(d), cfg)
+        b = weighted_kmeans(d, uniform_weights(d), cfg)
         assert a == b
 
     def test_k_too_large(self):
         d = Dataset(np.eye(3))
         with pytest.raises(KTooLarge):
-            weighted_kmeans(d, uniform_weight_vector(3), KMeansConfig(k=4, seed=0))
+            weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=4, seed=0))
 
     def test_warm_start_never_worse(self):
         d, truth = three_clouds(seed=4)
-        w = uniform_weight_vector(4)
+        w = uniform_weights(d)
         cfg = KMeansConfig(k=3, n_init=1, seed=9)
         z = _transformed_matrix(d, w)
 
@@ -109,7 +108,7 @@ class TestWeightedKmeans:
             k = int(rng.integers(2, min(n, 4) + 1))
             d = Dataset(rng.normal(size=(n, p)))
             part = weighted_kmeans(
-                d, uniform_weight_vector(p), KMeansConfig(k=k, seed=trial)
+                d, uniform_weights(d), KMeansConfig(k=k, seed=trial)
             )
             assert part.k == k
             assert np.all(part.sizes() >= 1)
@@ -228,5 +227,9 @@ class TestSparseKmeansFd:
 
     def test_uniform_weight_array_integrates_to_one(self):
         fd, _ = two_curve_clusters(seed=3)
-        w = uniform_weight_array_fd(fd)
+        w = uniform_weights(fd)
         assert float(np.sum(fd.quad_weights * w**2)) == pytest.approx(1.0, abs=1e-12)
+        d = Dataset(np.random.default_rng(3).normal(size=(6, 5)))
+        w = uniform_weights(d)
+        assert float(np.sum(w**2)) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(w == 1.0 / np.sqrt(5))

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from sparsekm import tuning
 from sparsekm.datatypes import Dataset, FunctionalDataset, trapezoid_weights
 from sparsekm.engine import KMeansConfig
 from sparsekm.errors import DegenerateObjective, SparsityOutOfRange, ValidationError
@@ -206,3 +209,22 @@ class TestTuneFd:
         again = tune_m_fd(fd, 2, [0.2, 0.4], b_perms=3, n_subdomains=8, cfg=cfg)
         assert again[0] == m_star
         assert np.array_equal(again[1].gap, curve.gap)
+
+
+def test_b_perms_checked_before_any_fit(monkeypatch):
+    """b_perms < 1 is rejected up front: no fit runs and numpy stays silent."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before b_perms was checked")
+
+    monkeypatch.setattr(tuning, "sparse_kmeans_mv", no_fit)
+    monkeypatch.setattr(tuning, "sparse_kmeans_fd", no_fit)
+    grid = np.linspace(0.0, 1.0, 10)
+    fd = FunctionalDataset(grid, np.random.default_rng(0).normal(size=(8, 10)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b_perms in (0, -1):
+            with pytest.raises(ValidationError, match="b_perms"):
+                tune_m_mv(informative_plus_noise(), 3, [0, 4], b_perms=b_perms)
+            with pytest.raises(ValidationError, match="b_perms"):
+                tune_m_fd(fd, 2, [0.5], b_perms=b_perms)
