@@ -31,6 +31,7 @@ from .experiments import (
     run_gaussian_benchmark,
 )
 from .metrics import cer
+from .solvers import whole_m
 from .tuning import tune_m_fd, tune_m_mv
 
 
@@ -39,7 +40,6 @@ def _add_engine_args(sub):
     sub.add_argument("--n-init", type=int, default=10, help="restarts per K-means run")
     sub.add_argument("--max-iter-outer", type=int, default=20)
     sub.add_argument("--max-iter-lloyd", type=int, default=100)
-    sub.add_argument("--tol-weights", type=float, default=1e-6)
 
 
 def _cfg_from(args, k: int) -> KMeansConfig:
@@ -48,7 +48,6 @@ def _cfg_from(args, k: int) -> KMeansConfig:
         n_init=args.n_init,
         max_iter_lloyd=args.max_iter_lloyd,
         max_iter_outer=args.max_iter_outer,
-        tol_weights=args.tol_weights,
         seed=args.seed,
     )
 
@@ -63,6 +62,22 @@ def _wrote(path: Path) -> None:
     print(f"wrote {path}")
 
 
+def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int:
+    """Write labels.csv, the weights file and summary.json, adding the run keys to ``summary``."""
+    out = _outdir(args)
+    dataio.write_labels(out / "labels.csv", result.partition)
+    write_weights(out / weights_name, result.weights)
+    summary.update(input=str(args.input), k=args.k, m=args.m, seed=args.seed,
+                   iterations=result.iterations, converged=result.converged,
+                   objective_trace=list(result.objective_trace))
+    if truth is not None:
+        summary["cer_vs_truth"] = cer(truth, result.partition)
+    dataio.write_summary(out / "summary.json", summary)
+    for name in ("labels.csv", weights_name, "summary.json"):
+        _wrote(out / name)
+    return 0
+
+
 def cmd_cluster(args) -> int:
     data, truth = dataio.read_mv_csv(args.input, args.truth_col)
     cfg = _cfg_from(args, args.k)
@@ -74,59 +89,26 @@ def cmd_cluster(args) -> int:
         if args.s is None:
             raise ValidationError("--method soft requires --s")
         result = soft_sparse_kmeans_mv(data, args.k, args.s, cfg)
-    out = _outdir(args)
-    dataio.write_labels(out / "labels.csv", result.partition)
-    dataio.write_weight_vector(out / "weights.csv", result.weights)
-    summary = {
+    return _write_fit(args, result, truth, "weights.csv", dataio.write_weight_vector, {
         "command": "cluster",
-        "input": str(args.input),
         "method": args.method,
-        "k": args.k,
-        "m": args.m,
         "s": args.s,
-        "seed": args.seed,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "objective_trace": list(result.objective_trace),
         "n_zero_weights": result.weights.m,
         "support_shrunk": result.weights.support_shrunk,
         "weight_l1_norm": result.weights.l1(),
-    }
-    if truth is not None:
-        summary["cer_vs_truth"] = cer(truth, result.partition)
-    dataio.write_summary(out / "summary.json", summary)
-    for name in ("labels.csv", "weights.csv", "summary.json"):
-        _wrote(out / name)
-    return 0
+    })
 
 
 def cmd_fcluster(args) -> int:
     data = dataio.read_fd_csv(args.input)
     truth = dataio.read_labels(args.truth) if args.truth else None
-    cfg = _cfg_from(args, args.k)
-    result = sparse_kmeans_fd(data, args.k, args.m, cfg)
-    out = _outdir(args)
-    dataio.write_labels(out / "labels.csv", result.partition)
-    dataio.write_weight_function(out / "weight_function.csv", result.weights)
-    summary = {
+    result = sparse_kmeans_fd(data, args.k, args.m, _cfg_from(args, args.k))
+    return _write_fit(args, result, truth, "weight_function.csv", dataio.write_weight_function, {
         "command": "fcluster",
-        "input": str(args.input),
-        "k": args.k,
-        "m": args.m,
-        "seed": args.seed,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "objective_trace": list(result.objective_trace),
         "domain_measure": data.domain_measure,
         "support_measure": result.weights.support_measure(),
         "support_intervals": dataio.support_intervals(result.weights),
-    }
-    if truth is not None:
-        summary["cer_vs_truth"] = cer(truth, result.partition)
-    dataio.write_summary(out / "summary.json", summary)
-    for name in ("labels.csv", "weight_function.csv", "summary.json"):
-        _wrote(out / name)
-    return 0
+    })
 
 
 def _parse_grid(text: str, cast) -> list:
@@ -212,7 +194,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     if args.which == "gaussian":
         runs = args.runs if args.runs is not None else 20
-        m_used = default_gaussian_m(args.p) if args.m is None else int(args.m)
+        m_used = default_gaussian_m(args.p) if args.m is None else whole_m(args.m)
         s_used = GAUSSIAN_DEFAULT_S if args.s is None else float(args.s)
         records, summaries, details = run_gaussian_benchmark(
             args.p,

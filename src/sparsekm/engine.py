@@ -3,8 +3,8 @@
 The weighted problem is reduced to plain Lloyd iteration by scaling each
 column by the square root of its (quadrature-adjusted) weight; centroids
 in that transformed space are ordinary cluster means. The alternating
-loop then cycles dispersion -> weights -> partition until the partition
-stops changing.
+loop then cycles dispersion -> weights -> partition until a partition
+repeats.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     KTooLarge,
     PartitionMismatch,
     SparsityOutOfRange,
+    TooFewDistinctRows,
     ValidationError,
 )
 from .rngutil import STREAM_RESTART, spawn_rng
@@ -47,7 +48,6 @@ class KMeansConfig:
     n_init: int = 10
     max_iter_lloyd: int = 100
     max_iter_outer: int = 20
-    tol_weights: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +57,6 @@ class KMeansConfig:
             raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
         if int(self.max_iter_lloyd) < 1 or int(self.max_iter_outer) < 1:
             raise ValidationError("iteration caps must be >= 1")
-        if float(self.tol_weights) < 0.0:
-            raise ValidationError("tol_weights must be >= 0")
 
 
 def _pairwise_sq_dists(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -96,7 +94,9 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
     Returns (labels, wcss, wcss_history); history holds the post-assignment
     within-cluster sum of squares of every step and is non-increasing. An
     empty cluster is re-seeded at the observation farthest from its own
-    centroid, which never increases the criterion.
+    centroid, which never increases the criterion; no observation seeds two
+    clusters. With fewer than k distinct rows no reseed can separate the
+    clusters, so TooFewDistinctRows is raised.
     """
     n = z.shape[0]
     rows = np.arange(n)
@@ -106,11 +106,18 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
         d2 = _pairwise_sq_dists(z, centroids)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
+        free = None  # reseed candidates; a row taken this pass drops to -1
         for j in range(k):
             if not np.any(new_labels == j):
-                far = int(np.argmax(closest))
+                if free is None:
+                    n_distinct = np.unique(z, axis=0).shape[0]
+                    if n_distinct < k:
+                        raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+                    free = closest.copy()
+                far = int(np.argmax(free))
                 new_labels[far] = j
                 closest[far] = 0.0
+                free[far] = -1.0
         history.append(float(closest.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
@@ -197,51 +204,32 @@ def _alternate(d, k, cfg, solve, dispersion):
     """Shared alternating loop: dispersion -> weights -> partition.
 
     ``solve`` maps a dispersion object to weights; ``dispersion`` maps a
-    partition to the dispersion object. Stops when the partition repeats
-    (fixed point or cycle) or when the weights stall within tol_weights.
+    partition to the dispersion object. The weights are a function of the
+    partition, so the loop stops when the partition repeats: a fixed point,
+    or a cycle, whose revisited partition is returned. A run capped by
+    max_iter_outer is not converged. Either way the returned weights and
+    the last trace entry belong to the returned partition.
     """
     cfg = replace(cfg, k=int(k))
     part = weighted_kmeans(d, uniform_weights(d), cfg)
-
-    trace = []
-    seen = {part.key()}
-    weights = None
-    prev_w = None
-    converged = False
-    for _ in range(int(cfg.max_iter_outer)):
+    trace, seen = [], set()
+    while True:
         disp = dispersion(d, part)
         weights = solve(disp)
         trace.append(weighted_objective(weights, disp))
-        w_arr = weights.w
-        if prev_w is not None:
-            stall = np.linalg.norm(w_arr - prev_w) <= cfg.tol_weights * max(
-                1.0, float(np.linalg.norm(prev_w))
-            )
-            if stall:
-                converged = True
-                break
-        prev_w = w_arr
+        if part.key() in seen or len(trace) >= int(cfg.max_iter_outer):
+            break
+        seen.add(part.key())
         nxt = weighted_kmeans(d, weights, cfg, init_partition=part)
         if nxt == part:
-            converged = True
             break
-        if nxt.key() in seen:
-            # Revisited an earlier state: the objective can no longer move,
-            # so adopt the revisited partition's own weights and stop.
-            part = nxt
-            disp = dispersion(d, part)
-            weights = solve(disp)
-            trace.append(weighted_objective(weights, disp))
-            converged = True
-            break
-        seen.add(nxt.key())
         part = nxt
     return SparseClusterResult(
         partition=part,
         weights=weights,
         objective_trace=tuple(trace),
         iterations=len(trace),
-        converged=converged,
+        converged=part.key() in seen,
     )
 
 

@@ -76,3 +76,7 @@ class DegenerateDispersion(NumericalError):
 
 class DegenerateObjective(NumericalError):
     """Objective is nonpositive everywhere; nothing to select."""
+
+
+class TooFewDistinctRows(NumericalError):
+    """Fewer distinct rows than clusters; names both counts."""

@@ -24,6 +24,7 @@ from .engine import (
 )
 from .metrics import cer
 from .rngutil import STREAM_METHOD, STREAM_RUN, derive_seed
+from .solvers import whole_m
 from .synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 # Zeroed-feature defaults for the Gaussian benchmark, per dimension; keys
@@ -102,7 +103,7 @@ def run_gaussian_benchmark(
     summaries, details); details is empty unless requested.
     """
     template = cfg or KMeansConfig()
-    m = default_gaussian_m(p) if m is None else int(m)
+    m = default_gaussian_m(p) if m is None else whole_m(m)
     s = GAUSSIAN_DEFAULT_S if s is None else float(s)
     records: list[BenchmarkRun] = []
     details: list[GaussianRunDetail] = []

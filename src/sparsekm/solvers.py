@@ -27,6 +27,16 @@ EPS_S = 1e-10
 MAX_BISECT = 200
 
 
+def whole_m(m) -> int:
+    """A feature count m as an int; 10.0 passes, 2.7, nan and inf do not."""
+    try:
+        if float(m).is_integer():
+            return int(m)
+    except (TypeError, ValueError):
+        pass
+    raise SparsityOutOfRange(f"m must be a whole number, got {m}")
+
+
 def hard_threshold_weights(b, m: int) -> WeightVector:
     """Unit-norm weights proportional to b on its p - m largest entries.
 
@@ -129,8 +139,8 @@ def soft_threshold_weights(a, s: float) -> WeightVector:
     return WeightVector(w, m=int(np.count_nonzero(w == 0.0)))
 
 
-def _function_context(b, quad, grid):
-    """Normalize (dispersion, quadrature, grid) from a Dispersion or bare inputs.
+def _function_context(b, quad):
+    """Normalize (dispersion, quadrature) from a Dispersion or bare inputs.
 
     ``quad`` defaults to the masses the dispersion carries.
     """
@@ -147,17 +157,9 @@ def _function_context(b, quad, grid):
         raise GridMismatch(
             f"quad weights length {qw.size} does not match dispersion ({b_arr.size})"
         )
-    if grid is not None:
-        g = np.asarray(grid, dtype=np.float64)
-        if g.shape != b_arr.shape:
-            raise GridMismatch(f"grid length {g.size} does not match dispersion ({b_arr.size})")
-    else:
-        # Synthesize cell-midpoint abscissae so one "grid cell" carries the
-        # same measure as the quadrature mass it stands for.
-        if np.any(qw <= 0.0):
-            raise GridMismatch("cannot synthesize a grid from nonpositive quad weights")
-        g = np.cumsum(qw) - qw / 2.0
-    return b_arr, qw, g
+    if np.any(qw <= 0.0):
+        raise GridMismatch("quad weights must be positive")
+    return b_arr, qw
 
 
 def functional_threshold_level(b, m: float, quad=None) -> float:
@@ -167,7 +169,7 @@ def functional_threshold_level(b, m: float, quad=None) -> float:
     cumulative quadrature mass, so plateaus of b (where the level-set
     measure jumps) resolve to the smallest admissible level.
     """
-    b_arr, qw, _ = _function_context(b, quad, None)
+    b_arr, qw = _function_context(b, quad)
     mu = float(np.sum(qw))
     m = float(m)
     if not 0.0 < m < mu:
@@ -187,16 +189,19 @@ def functional_threshold_level(b, m: float, quad=None) -> float:
     return float(sorted_b[last[hit[0]]])
 
 
-def functional_threshold_weights(b, m: float, quad=None, grid=None) -> WeightFunction:
+def functional_threshold_weights(b, m: float, grid, quad=None) -> WeightFunction:
     """Level-set hard thresholding for weights over a continuous domain.
 
     Zeroes b outside its superlevel set at the level chosen by
     ``functional_threshold_level`` and normalizes the rest to unit
-    quadrature L2 norm. ``quad`` defaults to the masses a Dispersion
-    carries and is required with a bare vector; ``grid`` defaults to cell
-    midpoints implied by the masses.
+    quadrature L2 norm. ``grid`` holds the abscissae of the samples of b;
+    ``quad`` defaults to the masses a Dispersion carries and is required
+    with a bare vector.
     """
-    b_arr, qw, g = _function_context(b, quad, grid)
+    b_arr, qw = _function_context(b, quad)
+    g = np.asarray(grid, dtype=np.float64)
+    if g.shape != b_arr.shape:
+        raise GridMismatch(f"grid length {g.size} does not match dispersion ({b_arr.size})")
     k = functional_threshold_level(b_arr, m, qw)
     mask = b_arr > k
     if not np.any(mask):
@@ -214,6 +219,7 @@ def functional_threshold_weights(b, m: float, quad=None, grid=None) -> WeightFun
 
 
 __all__ = [
+    "whole_m",
     "hard_threshold_weights",
     "soft_threshold_weights",
     "functional_threshold_level",

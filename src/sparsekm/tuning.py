@@ -17,6 +17,7 @@ from .datatypes import Dataset, FunctionalDataset, readonly_array
 from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv
 from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, ValidationError
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
+from .solvers import whole_m
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def tune_m_mv(
 
     Reference datasets shuffle every feature column independently.
     """
-    candidates = sorted({int(m) for m in np.asarray(m_grid).ravel()})
+    candidates = sorted({whole_m(m) for m in np.asarray(m_grid).ravel()})
     p = d.n_features
     for m in candidates:
         if not 0 <= m < p:

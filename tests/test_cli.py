@@ -31,6 +31,11 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# summary.json keys written for every cluster and fcluster run with a truth
+FIT_KEYS = {"schema", "command", "input", "k", "m", "seed", "iterations",
+            "converged", "objective_trace", "cer_vs_truth"}
+
+
 class TestCluster:
     def test_hard_end_to_end(self, mv_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -49,6 +54,8 @@ class TestCluster:
         assert weights.shape == (12,)
         assert int((weights == 0.0).sum()) == 8
         summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == FIT_KEYS | {
+            "method", "s", "n_zero_weights", "support_shrunk", "weight_l1_norm"}
         assert summary["schema"] == 1
         assert summary["command"] == "cluster"
         assert summary["method"] == "hard"
@@ -103,6 +110,16 @@ class TestCluster:
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_duplicate_rows_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("0.0,1.0\n3.0,-1.0\n7.0,2.0\n" * 4)
+        code = run_cli(
+            "cluster", "--input", path, "--k", "5", "--m", "0",
+            "--out", tmp_path / "o",
+        )
+        assert code == 1
+        assert "3 distinct rows for k=5" in capsys.readouterr().err
+
 
 class TestFcluster:
     def test_end_to_end_with_truth(self, fd_csv, tmp_path):
@@ -113,7 +130,11 @@ class TestFcluster:
             "--truth", truth, "--out", out, "--n-init", "4",
         )
         assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "labels.csv", "summary.json", "weight_function.csv"]
         summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == FIT_KEYS | {
+            "domain_measure", "support_measure", "support_intervals"}
         assert summary["command"] == "fcluster"
         assert summary["domain_measure"] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < summary["support_measure"] <= 1.0
@@ -198,6 +219,15 @@ class TestSimulate:
         assert {row["method"] for row in summary["report"]} == {
             "standard", "soft-sparse", "hard-sparse",
         }
+
+    def test_non_integral_m_exits_2(self, tmp_path, capsys):
+        for m in ("2.7", "nan"):
+            code = run_cli(
+                "simulate", "gaussian", "--p", "20", "--runs", "1", "--m", m,
+                "--out", tmp_path / "o",
+            )
+            assert code == 2
+            assert f"got {m}" in capsys.readouterr().err
 
     def test_curves_single_run_sd_flag(self, tmp_path):
         out_na = tmp_path / "na"

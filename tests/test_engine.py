@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
-from sparsekm.dispersion import bcss_per_feature
+from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
     _lloyd,
@@ -13,8 +13,9 @@ from sparsekm.engine import (
     uniform_weights,
     weighted_kmeans,
 )
-from sparsekm.errors import KTooLarge, ValidationError
+from sparsekm.errors import KTooLarge, NumericalError, ValidationError
 from sparsekm.metrics import cer
+from sparsekm.synthdata import MvScenario, gen_mv
 
 
 def three_clouds(seed=0, n_per=12, p=4, gap=30.0):
@@ -40,8 +41,6 @@ class TestKMeansConfig:
             KMeansConfig(k=1)
         with pytest.raises(ValidationError):
             KMeansConfig(n_init=0)
-        with pytest.raises(ValidationError):
-            KMeansConfig(tol_weights=-1.0)
         with pytest.raises(ValidationError):
             KMeansConfig(max_iter_outer=0)
 
@@ -100,6 +99,18 @@ class TestWeightedKmeans:
         part = weighted_kmeans(d, w, KMeansConfig(k=2, seed=3))
         assert cer(truth, part) == 0.0
 
+    def test_too_few_distinct_rows_is_numerical(self):
+        # 12 rows with 3 distinct values cannot fill 5 clusters
+        d = Dataset(np.repeat([[0.0, 1.0], [3.0, -1.0], [7.0, 2.0]], 4, axis=0))
+        for seed in range(5):
+            with pytest.raises(NumericalError, match="3 distinct rows for k=5"):
+                weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=5, seed=seed))
+        # two more distinct rows are enough
+        d = Dataset(np.r_[d.values, [[15.0, 0.0], [22.0, 5.0]]])
+        for seed in range(5):
+            part = weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=5, seed=seed))
+            assert np.all(part.sizes() >= 1)
+
     def test_partition_always_valid(self):
         rng = np.random.default_rng(15)
         for trial in range(20):
@@ -152,6 +163,17 @@ class TestSparseKmeansMv:
         disp = bcss_per_feature(d, res.partition)
         ref = hard_threshold_weights(disp, 2)
         assert np.allclose(res.weights.w, ref.w, atol=1e-12)
+
+        # a fit capped after one outer iteration: the weights and the
+        # objective still belong to the partition it returns
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        res = sparse_kmeans_mv(d, 3, 40, KMeansConfig(k=3, seed=0, max_iter_outer=1))
+        disp = bcss_per_feature(d, res.partition)
+        ref = hard_threshold_weights(disp, 40)
+        assert np.array_equal(res.weights.w, ref.w)
+        assert res.objective == weighted_objective(ref, disp)
+        assert res.iterations <= 1
+        assert not res.converged
 
     def test_m_zero_keeps_all_informative_features(self):
         d, _ = three_clouds(seed=9)

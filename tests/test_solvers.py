@@ -10,6 +10,7 @@ from sparsekm.datatypes import FunctionalDataset, trapezoid_weights
 from sparsekm.errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
+    GridMismatch,
     NonPositiveDispersion,
     SOutOfRange,
     SparsityOutOfRange,
@@ -126,8 +127,9 @@ class TestScaleInvariance:
     def test_functional(self, scale):
         b = np.array([1.0, 1, 2, 2, 3, 3, 3, 3, 2, 1])
         qw = np.full(10, 0.1)
-        ref = functional_threshold_weights(b, 0.4, quad=qw).w
-        got = functional_threshold_weights(b * scale, 0.4, quad=qw).w
+        grid = np.linspace(0.05, 0.95, 10)
+        ref = functional_threshold_weights(b, 0.4, quad=qw, grid=grid).w
+        got = functional_threshold_weights(b * scale, 0.4, quad=qw, grid=grid).w
         assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -234,7 +236,7 @@ class TestFunctionalThreshold:
         # retained measure fits the 0.6 budget is 2
         level = functional_threshold_level(b, 0.4, quad=qw)
         assert level == 2.0
-        wf = functional_threshold_weights(b, 0.4, quad=qw)
+        wf = functional_threshold_weights(b, 0.4, quad=qw, grid=np.linspace(0.05, 0.95, 10))
         expected = 3.0 / math.sqrt(4 * 0.1 * 9.0)
         on = wf.w[b > 2.0]
         assert np.allclose(on, expected)
@@ -242,21 +244,36 @@ class TestFunctionalThreshold:
 
     def test_plateau_zero_measure_may_exceed_m(self):
         b = np.array([1.0, 1, 2, 2, 3, 3, 3, 3, 2, 1])
-        wf = functional_threshold_weights(b, 0.5, quad=np.full(10, 0.1))
+        wf = functional_threshold_weights(
+            b, 0.5, quad=np.full(10, 0.1), grid=np.linspace(0.05, 0.95, 10)
+        )
         # the plateau at 2 cannot be split: zeroing it leaves measure 0.6 > m
         assert wf.support_measure() == pytest.approx(0.4)
 
     def test_all_zero_dispersion_raises(self):
         with pytest.raises(DegenerateDispersion):
-            functional_threshold_weights(np.zeros(10), 0.4, quad=np.full(10, 0.1))
+            functional_threshold_weights(
+                np.zeros(10), 0.4, quad=np.full(10, 0.1), grid=np.linspace(0.05, 0.95, 10)
+            )
 
     def test_m_out_of_range(self):
         b = np.ones(10)
         qw = np.full(10, 0.1)
+        grid = np.linspace(0.05, 0.95, 10)
         with pytest.raises(SparsityOutOfRange):
-            functional_threshold_weights(b, 0.0, quad=qw)
+            functional_threshold_weights(b, 0.0, quad=qw, grid=grid)
         with pytest.raises(SparsityOutOfRange):
-            functional_threshold_weights(b, 1.0, quad=qw)
+            functional_threshold_weights(b, 1.0, quad=qw, grid=grid)
+
+    def test_quad_weights_and_grid_checked(self):
+        b = np.ones(4)
+        qw = np.array([0.5, 0.0, 0.25, 0.25])
+        with pytest.raises(GridMismatch, match="positive"):
+            functional_threshold_level(b, 0.4, quad=qw)
+        with pytest.raises(GridMismatch, match="positive"):
+            functional_threshold_weights(b, 0.4, quad=qw, grid=np.arange(4.0))
+        with pytest.raises(GridMismatch, match="grid length"):
+            functional_threshold_weights(b, 0.4, quad=np.full(4, 0.25), grid=np.arange(3.0))
 
     def test_two_node_grid_runs(self):
         fd = FunctionalDataset(np.array([0.0, 1.0]), np.zeros((2, 2)))
@@ -278,7 +295,7 @@ class TestFunctionalThreshold:
         m = mfrac  # domain measure is 1 here
         try:
             level = functional_threshold_level(b, m, quad=qw)
-            wf = functional_threshold_weights(b, m, quad=qw)
+            wf = functional_threshold_weights(b, m, quad=qw, grid=(np.arange(len(b)) + 0.5) / len(b))
         except DegenerateDispersion:
             return
         on = b > level

@@ -182,6 +182,11 @@ class TestTuneMv:
             tune_m_mv(d, 3, [], b_perms=2)
         with pytest.raises(SparsityOutOfRange):
             tune_m_mv(d, 3, [10], b_perms=2)
+        for bad in (2.7, float("nan"), float("inf")):
+            with pytest.raises(SparsityOutOfRange, match=f"got {bad}"):
+                tune_m_mv(d, 3, [bad], b_perms=2)
+        m_star, _ = tune_m_mv(d, 3, [4.0], b_perms=1, cfg=KMeansConfig(k=3, n_init=1))
+        assert m_star == 4 and isinstance(m_star, int)
 
     def test_constant_data_degenerate(self):
         d = Dataset(np.ones((12, 4)))
