@@ -9,7 +9,6 @@ input or validation problems.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -81,6 +80,8 @@ def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int
 def cmd_cluster(args) -> int:
     data, truth = dataio.read_mv_csv(args.input, args.truth_col)
     cfg = _cfg_from(args, args.k)
+    if args.m is not None:
+        args.m = whole_m(args.m)  # summary.json records the int
     if args.method == "hard":
         if args.m is None:
             raise ValidationError("--method hard requires --m")
@@ -176,18 +177,17 @@ def cmd_tune(args) -> int:
 
 
 def _write_benchmark_outputs(out: Path, records, summaries, sd_zero: bool) -> None:
-    with open(out / "runs.csv", "w", newline="") as fh:
-        fh.write("run,method,cer\n")
-        for rec in records:
-            fh.write(f"{rec.run},{rec.method},{rec.cer:.17g}\n")
-    with open(out / "report.csv", "w", newline="") as fh:
-        fh.write("method,mean_cer,sd_cer\n")
-        for s in summaries:
-            if math.isnan(s.sd_cer):
-                sd = "0" if sd_zero else "NA"
-            else:
-                sd = f"{s.sd_cer:.17g}"
-            fh.write(f"{s.method},{s.mean_cer:.17g},{sd}\n")
+    """runs.csv and report.csv; a single run's undefined sd reads NA, or 0 with --sd-zero."""
+    dataio._write_csv(out / "runs.csv", ["run", "method", "cer"], [
+        [rec.run for rec in records],
+        [rec.method for rec in records],
+        np.array([rec.cer for rec in records], dtype=np.float64),
+    ])
+    dataio._write_csv(out / "report.csv", ["method", "mean_cer", "sd_cer"], [
+        [s.method for s in summaries],
+        np.array([s.mean_cer for s in summaries], dtype=np.float64),
+        np.array([s.sd_cer for s in summaries], dtype=np.float64),
+    ], nan="0" if sd_zero else "NA")
 
 
 def cmd_simulate(args) -> int:
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--input", required=True)
     cluster.add_argument("--k", type=int, required=True, help="number of clusters")
     cluster.add_argument("--method", choices=["hard", "soft"], default="hard")
-    cluster.add_argument("--m", type=int, default=None, help="features to zero out (hard)")
+    cluster.add_argument("--m", type=float, default=None, help="features to zero out (hard)")
     cluster.add_argument("--s", type=float, default=None, help="L1 budget (soft)")
     cluster.add_argument("--truth-col", default=None, help="label column (name or 0-based index)")
     cluster.add_argument("--out", default=".", help="output directory (default .)")

@@ -1,7 +1,7 @@
 """CSV and JSON serialization.
 
-Conventions: comma separator, '.' decimal point, floats written with 17
-significant digits so values survive a round trip bit-for-bit. A first row
+Conventions: comma separator, '.' decimal point, "\n" line ends, floats with
+17 significant digits so values survive a round trip bit-for-bit. A first row
 whose leading token does not parse as a number is treated as a header.
 Curve files put the grid abscissae in the first data row and one curve per
 row after that.
@@ -10,12 +10,13 @@ row after that.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition, WeightFunction, WeightVector
+from .datatypes import Dataset, FunctionalDataset, Partition, WeightFunction, WeightVector, _integral_labels
 from .errors import EmptyData, LengthMismatch, ValidationError
 from .tuning import GapCurve
 
@@ -23,7 +24,30 @@ SUMMARY_SCHEMA = 1
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
+
+
+def _column_cells(col, nan: str):
+    """Per-row cell iterables of one column, or of a 2-d block of columns."""
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        return ([str(v)] for v in col)
+    fmt = _fmt if nan == "nan" else lambda v: nan if math.isnan(v) else _fmt(v)
+    return (map(fmt, row.tolist()) for row in col.reshape(len(col), -1))
+
+
+def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> None:
+    """Write a CSV file: comma separator, "\n" line ends, an optional header row.
+
+    ``columns`` lists the file's columns left to right. A float array is one
+    column (1-d) or a block of columns (2-d); its cells are written with
+    _fmt, NaN as ``nan``. Any other sequence is one column written with str.
+    """
+    cells = [_column_cells(col, nan) for col in columns]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            out.writerow(header)
+        out.writerows(itertools.chain.from_iterable(row) for row in zip(*cells))
 
 
 def _parses_as_number(token: str) -> bool:
@@ -98,11 +122,7 @@ def read_mv_csv(path, truth_col: str | None = None) -> tuple[Dataset, Partition 
     names = tuple(header) if header else None
     if truth_col is not None:
         col = _resolve_column(str(truth_col), header, matrix.shape[1], path)
-        raw = matrix[:, col]
-        as_int = raw.astype(np.int64)
-        if not np.array_equal(as_int, raw):
-            raise ValidationError(f"{path}: truth column contains non-integer labels")
-        truth = Partition.from_labels(as_int)
+        truth = Partition.from_labels(_integral_labels(matrix[:, col], where=str(path)))
         matrix = np.delete(matrix, col, axis=1)
         if names:
             names = tuple(n for i, n in enumerate(names) if i != col)
@@ -113,18 +133,14 @@ def write_mv_csv(path, d: Dataset, truth: Partition | None = None) -> None:
     names = list(d.feature_names) if d.feature_names else [
         f"f{j + 1}" for j in range(d.n_features)
     ]
-    if truth is not None and truth.n_obs != d.n_obs:
+    if truth is None:
+        _write_csv(path, names, [d.values])
+    elif truth.n_obs != d.n_obs:
         raise LengthMismatch(
             f"truth labels {truth.n_obs} observations, dataset has {d.n_obs}"
         )
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(names + (["label"] if truth is not None else []))
-        for i in range(d.n_obs):
-            row = [_fmt(v) for v in d.values[i]]
-            if truth is not None:
-                row.append(str(int(truth.labels[i])))
-            out.writerow(row)
+    else:
+        _write_csv(path, names + ["label"], [d.values, truth.labels.tolist()])
 
 
 def read_fd_csv(path) -> FunctionalDataset:
@@ -137,64 +153,35 @@ def read_fd_csv(path) -> FunctionalDataset:
 
 
 def write_fd_csv(path, d: FunctionalDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow([_fmt(v) for v in d.grid])
-        for i in range(d.n_obs):
-            out.writerow([_fmt(v) for v in d.values[i]])
+    _write_csv(path, None, [np.vstack([d.grid, d.values])])
 
 
 def write_labels(path, part: Partition) -> None:
-    with open(path, "w", newline="") as fh:
-        for v in part.labels:
-            fh.write(f"{int(v)}\n")
+    _write_csv(path, None, [part.labels.tolist()])
 
 
 def read_labels(path) -> Partition:
     _, rows = _read_rows(path)
-    vals = []
-    for i, row in enumerate(rows):
-        if len(row) != 1:
-            raise ValidationError(f"{path}: label row {i + 1} has {len(row)} fields")
-        try:
-            raw = float(row[0])
-            integral = raw == int(raw)
-        except (ValueError, OverflowError):  # not a number, nan or inf
-            integral = False
-        if not integral:
-            raise ValidationError(f"{path}: non-integer label at row {i + 1}: {row[0]!r}")
-        vals.append(int(raw))
-    return Partition.from_labels(np.asarray(vals, dtype=np.int64))
+    matrix = _parse_matrix(rows, path)
+    if matrix.shape[1] != 1:
+        raise ValidationError(f"{path}: label rows have {matrix.shape[1]} fields, expected 1")
+    return Partition.from_labels(_integral_labels(matrix[:, 0], where=str(path)))
 
 
 def write_weight_vector(path, wv: WeightVector) -> None:
-    with open(path, "w", newline="") as fh:
-        for v in wv.w:
-            fh.write(f"{_fmt(v)}\n")
+    _write_csv(path, None, [wv.w])
 
 
 def write_weight_function(path, wf: WeightFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["x", "w"])
-        for x, v in zip(wf.grid, wf.w):
-            out.writerow([_fmt(x), _fmt(v)])
+    _write_csv(path, ["x", "w"], [wf.grid, wf.w])
 
 
 def write_gap_curve(path, curve: GapCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["m", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd"])
-        for i in range(curve.m_grid.size):
-            out.writerow(
-                [
-                    _fmt(curve.m_grid[i]),
-                    _fmt(curve.gap[i]),
-                    _fmt(curve.obs_log_obj[i]),
-                    _fmt(curve.perm_log_obj_mean[i]),
-                    _fmt(curve.perm_log_obj_sd[i]),
-                ]
-            )
+    _write_csv(
+        path,
+        ["m", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd"],
+        [curve.m_grid, curve.gap, curve.obs_log_obj, curve.perm_log_obj_mean, curve.perm_log_obj_sd],
+    )
 
 
 def support_intervals(wf: WeightFunction) -> list[tuple[float, float]]:

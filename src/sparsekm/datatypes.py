@@ -18,6 +18,7 @@ from .errors import (
     NonFinite,
     NonMonotoneGrid,
     SparsityOutOfRange,
+    ValidationError,
 )
 
 # Relative tolerance for unit-norm checks.
@@ -41,6 +42,20 @@ def check_finite(values: np.ndarray, what: str = "value") -> None:
         bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0]
         pos = tuple(int(i) for i in bad)
         raise NonFinite(f"non-finite {what} at index {pos[0] if len(pos) == 1 else pos}")
+
+
+def _integral_labels(values, where: str = "labels") -> np.ndarray:
+    """``values`` as int64 labels. NaN, ±inf, fractional and out-of-int64 entries raise
+    before any cast can warn, naming ``where`` and the first bad row, counted from 1."""
+    arr = np.asarray(values)
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr.astype(np.int64, copy=False)
+    flt = arr.astype(np.float64)
+    whole = (flt == np.trunc(flt)) & (np.abs(flt) < 2.0**63)  # False for NaN and ±inf
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValidationError(f"{where}: non-integer label at row {i + 1}: {float(flt.flat[i])!r}")
+    return flt.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -164,17 +179,13 @@ class Partition:
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.size < 1:
             raise EmptyData("labels must be a non-empty 1-d sequence")
-        if not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
-            if not np.array_equal(as_int, labels):
-                raise EmptyCluster("labels must be integers")
-            labels = as_int
+        labels = _integral_labels(labels)
         k = int(self.k)
         if k < 1:
             raise EmptyCluster(f"k must be >= 1, got {k}")
         if labels.min() < 1 or labels.max() > k:
             raise EmptyCluster(f"labels must lie in 1..{k}")
-        counts = np.bincount(labels.astype(np.int64), minlength=k + 1)
+        counts = np.bincount(labels, minlength=k + 1)
         missing = np.nonzero(counts[1 : k + 1] == 0)[0]
         if missing.size:
             raise EmptyCluster(f"cluster {int(missing[0]) + 1} is empty")
@@ -183,7 +194,7 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _integral_labels(labels)
         return cls(labels, int(labels.max()) if labels.size else 0)
 
     @property
@@ -312,7 +323,6 @@ class SparseClusterResult:
     partition: Partition
     weights: object  # WeightVector or WeightFunction
     objective_trace: tuple
-    iterations: int
     converged: bool
 
     def __post_init__(self):
@@ -325,9 +335,12 @@ class SparseClusterResult:
                     f"objective trace decreases: {a} -> {b}"
                 )
         object.__setattr__(self, "objective_trace", trace)
-        object.__setattr__(self, "iterations", int(self.iterations))
         object.__setattr__(self, "converged", bool(self.converged))
 
     @property
     def objective(self) -> float:
         return self.objective_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace)

@@ -32,6 +32,7 @@ from .solvers import (
     functional_threshold_weights,
     hard_threshold_weights,
     soft_threshold_weights,
+    whole_m,
 )
 
 
@@ -94,9 +95,9 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
     Returns (labels, wcss, wcss_history); history holds the post-assignment
     within-cluster sum of squares of every step and is non-increasing. An
     empty cluster is re-seeded at the observation farthest from its own
-    centroid, which never increases the criterion; no observation seeds two
-    clusters. With fewer than k distinct rows no reseed can separate the
-    clusters, so TooFewDistinctRows is raised.
+    centroid whose cluster keeps another member, which never increases the
+    criterion; no cluster is left empty. With fewer than k distinct rows no
+    reseed can separate the clusters, so TooFewDistinctRows is raised.
     """
     n = z.shape[0]
     rows = np.arange(n)
@@ -106,26 +107,23 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
         d2 = _pairwise_sq_dists(z, centroids)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
-        free = None  # reseed candidates; a row taken this pass drops to -1
-        for j in range(k):
-            if not np.any(new_labels == j):
-                if free is None:
-                    n_distinct = np.unique(z, axis=0).shape[0]
-                    if n_distinct < k:
-                        raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
-                    free = closest.copy()
-                far = int(np.argmax(free))
+        sizes = np.bincount(new_labels, minlength=k)
+        if not sizes.all():
+            n_distinct = np.unique(z, axis=0).shape[0]
+            if n_distinct < k:
+                raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+            for j in np.flatnonzero(sizes == 0):
+                far = int(np.argmax(np.where(sizes[new_labels] > 1, closest, -1.0)))
+                sizes[new_labels[far]] -= 1
+                sizes[j] = 1
                 new_labels[far] = j
                 closest[far] = 0.0
-                free[far] = -1.0
         history.append(float(closest.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            members = labels == j
-            if np.any(members):
-                centroids[j] = z[members].mean(axis=0)
+        for j in range(k):  # every cluster has a member after the reseeds
+            centroids[j] = z[labels == j].mean(axis=0)
     return labels, history[-1], history
 
 
@@ -228,7 +226,6 @@ def _alternate(d, k, cfg, solve, dispersion):
         partition=part,
         weights=weights,
         objective_trace=tuple(trace),
-        iterations=len(trace),
         converged=part.key() in seen,
     )
 
@@ -238,9 +235,10 @@ def sparse_kmeans_mv(d: Dataset, k: int, m: int, cfg: KMeansConfig | None = None
 
     Alternates per-feature dispersion scoring, the closed-form top-(p-m)
     weight rule, and weighted K-means warm-started from the current
-    partition. m is the number of features forced to zero weight.
+    partition. m, a whole number, is the number of features forced to zero weight.
     """
     cfg = cfg or KMeansConfig()
+    m = whole_m(m)
     return _alternate(
         d,
         k,

@@ -31,6 +31,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_lf_csvs(out):
+    """Every CSV in ``out`` ends its lines with a bare "\\n"."""
+    paths = list(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 # summary.json keys written for every cluster and fcluster run with a truth
 FIT_KEYS = {"schema", "command", "input", "k", "m", "seed", "iterations",
             "converged", "objective_trace", "cer_vs_truth"}
@@ -41,9 +49,10 @@ class TestCluster:
         out = tmp_path / "out"
         code = run_cli(
             "cluster", "--input", mv_csv, "--k", "3", "--method", "hard",
-            "--m", "8", "--truth-col", "label", "--out", out, "--n-init", "4",
+            "--m", "8.0", "--truth-col", "label", "--out", out, "--n-init", "4",
         )
         assert code == 0
+        assert_lf_csvs(out)
         stdout = capsys.readouterr().out
         for name in ("labels.csv", "weights.csv", "summary.json"):
             assert (out / name).exists()
@@ -60,6 +69,7 @@ class TestCluster:
         assert summary["command"] == "cluster"
         assert summary["method"] == "hard"
         assert summary["n_zero_weights"] == 8
+        assert summary["m"] == 8 and isinstance(summary["m"], int)
         assert summary["cer_vs_truth"] <= 0.2
         assert summary["converged"] is True
         trace = summary["objective_trace"]
@@ -130,6 +140,7 @@ class TestFcluster:
             "--truth", truth, "--out", out, "--n-init", "4",
         )
         assert code == 0
+        assert_lf_csvs(out)
         assert sorted(p.name for p in out.iterdir()) == [
             "labels.csv", "summary.json", "weight_function.csv"]
         summary = json.loads((out / "summary.json").read_text())
@@ -169,6 +180,7 @@ class TestTune:
         # the label column rides along as a feature here, which is fine for
         # exercising the command surface
         assert code == 0
+        assert_lf_csvs(out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["command"] == "tune"
         assert summary["chosen_m"] in (0, 4, 8)
@@ -186,6 +198,7 @@ class TestTune:
             "--out", out, "--n-init", "2",
         )
         assert code == 0
+        assert_lf_csvs(out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["functional"] is True
         assert summary["chosen_m"] in (0.3, 0.5)
@@ -220,11 +233,17 @@ class TestSimulate:
             "standard", "soft-sparse", "hard-sparse",
         }
 
-    def test_non_integral_m_exits_2(self, tmp_path, capsys):
+    def test_non_integral_m_exits_2(self, mv_csv, tmp_path, capsys):
         for m in ("2.7", "nan"):
             code = run_cli(
                 "simulate", "gaussian", "--p", "20", "--runs", "1", "--m", m,
                 "--out", tmp_path / "o",
+            )
+            assert code == 2
+            assert f"got {m}" in capsys.readouterr().err
+            code = run_cli(
+                "cluster", "--input", mv_csv, "--k", "3", "--m", m,
+                "--truth-col", "label", "--out", tmp_path / "o",
             )
             assert code == 2
             assert f"got {m}" in capsys.readouterr().err
@@ -254,6 +273,13 @@ class TestSimulate:
         assert code == 0
         assert (out / "data_run00.csv").exists()
         assert (out / "data_run01.csv").exists()
+        assert_lf_csvs(out)
+        out = tmp_path / "curves"
+        code = run_cli("simulate", "curves", "--runs", "1", "--dump-data", "--out", out)
+        assert code == 0
+        assert (out / "curves_run00.csv").exists()
+        assert (out / "truth_run00.csv").exists()
+        assert_lf_csvs(out)
 
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

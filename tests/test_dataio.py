@@ -71,9 +71,10 @@ class TestMvRoundTrip:
 
     def test_non_integer_truth_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x,label\n1.0,1.5\n")
-        with pytest.raises(ValidationError, match="non-integer"):
-            read_mv_csv(path, truth_col="label")
+        for bad in ("1.5", "nan", "inf", "-inf"):
+            path.write_text(f"x,label\n1.0,1\n2.0,{bad}\n")
+            with pytest.raises(ValidationError, match="non-integer label at row 2"):
+                read_mv_csv(path, truth_col="label")
 
 
 class TestParseErrors:
@@ -142,10 +143,13 @@ class TestLabels:
 
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
-        for bad in ("2.5", "abc", "inf", "nan"):
+        for bad in ("2.5", "inf", "nan"):
             path.write_text(f"1\n{bad}\n")
-            with pytest.raises(ValidationError, match="row 2"):
+            with pytest.raises(ValidationError, match="non-integer label at row 2"):
                 read_labels(path)
+        path.write_text("1\nabc\n")
+        with pytest.raises(ValidationError, match=r"field \(2, 1\): 'abc'"):
+            read_labels(path)
 
     def test_multi_field_row_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"

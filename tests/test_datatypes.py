@@ -107,6 +107,13 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Partition(np.array([-4, 1, 2]), 2)
 
+    def test_rejects_non_integer_labels(self):
+        for bad in (np.nan, np.inf, 1.5, 2.0**70):
+            with pytest.raises(ValidationError, match="row 2"):
+                Partition(np.array([1.0, bad, 2.0]), 2)
+            with pytest.raises(ValidationError, match="row 2"):
+                Partition.from_labels([1.0, bad, 2.0])
+
     def test_from_labels_infers_k(self):
         p = Partition.from_labels([1, 2, 2, 1])
         assert p.k == 2
@@ -181,11 +188,12 @@ class TestSparseClusterResult:
     def _mk(self, trace):
         part = Partition(np.array([1, 2]), 2)
         wv = WeightVector(np.array([1.0, 0.0]), 1, False)
-        return SparseClusterResult(part, wv, tuple(trace), len(trace), True)
+        return SparseClusterResult(part, wv, tuple(trace), True)
 
     def test_objective_is_last_trace_entry(self):
         r = self._mk([1.0, 2.0, 2.5])
         assert r.objective == 2.5
+        assert r.iterations == 3
 
     def test_rejects_decreasing_trace(self):
         with pytest.raises(ValidationError):

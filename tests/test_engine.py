@@ -136,6 +136,13 @@ class TestLloydInternals:
             assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
             assert wcss == history[-1]
 
+    def test_reseed_never_empties_another_cluster(self):
+        # cluster 1 starts empty; the row farthest from its centroid (5.0) is
+        # the only member of cluster 0 and must not be taken
+        z = np.array([[5.0], [20.0], [21.0], [22.0]])
+        labels, _, _ = _lloyd(z, 3, np.array([[0.0], [100.0], [21.0]]), 1)
+        assert np.all(np.bincount(labels, minlength=3) >= 1)
+
 
 class TestSparseKmeansMv:
     def test_monotone_trace_and_valid_result(self):
@@ -185,7 +192,7 @@ class TestSparseKmeansMv:
         d, _ = three_clouds(seed=10)
         cfg = KMeansConfig(k=3, seed=77)
         r1 = sparse_kmeans_mv(d, 3, 2, cfg)
-        r2 = sparse_kmeans_mv(d, 3, 2, cfg)
+        r2 = sparse_kmeans_mv(d, 3, 2.0, cfg)  # a whole float m counts as the int
         assert r1.partition == r2.partition
         assert np.array_equal(r1.weights.w, r2.weights.w)
         assert r1.objective_trace == r2.objective_trace
