@@ -76,6 +76,13 @@ def _read_rows(path) -> tuple[list[str] | None, list[list[str]]]:
 
 
 def _parse_matrix(rows: list[list[str]], path) -> np.ndarray:
+    """Rows of cells as a float matrix, converted in one call; numpy parses a
+    cell exactly as float() does. Only a ragged or unparseable file takes the
+    per-cell loop, which names the first bad row or cell."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        pass
     width = len(rows[0])
     out = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):

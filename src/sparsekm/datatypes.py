@@ -194,8 +194,11 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
+        """Any distinct integer labels, mapped to 1..k in sorted order, so
+        0-based and gapped label columns load; CER does not see the mapping."""
         labels = _integral_labels(labels)
-        return cls(labels, int(labels.max()) if labels.size else 0)
+        values, inverse = np.unique(labels, return_inverse=True)
+        return cls(inverse.reshape(labels.shape) + 1, values.size)
 
     @property
     def n_obs(self) -> int:

@@ -135,7 +135,13 @@ def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
 
 
 def _transformed_matrix(d, w) -> np.ndarray:
-    """Scale columns by sqrt(weight times sample mass); unit masses for vectors."""
+    """Columns scaled by sqrt(weight times sample mass); unit masses for vectors.
+
+    Only the columns whose scale is positive are kept. A zero-weight column
+    adds an exact 0 to every distance, so Lloyd, kmeans++ and the warm-start
+    centroids run on the active columns alone: p - m of them, not p, under
+    hard-threshold weights.
+    """
     w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
     if w_arr.shape != (d.values.shape[1],):
         raise DimensionMismatch(
@@ -144,7 +150,8 @@ def _transformed_matrix(d, w) -> np.ndarray:
     scale = w_arr if d.quad_weights is None else d.quad_weights * w_arr
     if np.any(scale < 0.0):
         raise SparsityOutOfRange("weights must be nonnegative")
-    return d.values * np.sqrt(scale)[None, :]
+    active = scale > 0.0
+    return d.values[:, active] * np.sqrt(scale[active])[None, :]
 
 
 def _centroids_from_partition(z: np.ndarray, part: Partition) -> np.ndarray:
@@ -198,18 +205,29 @@ def uniform_weights(d) -> np.ndarray:
     return np.full(d.values.shape[1], 1.0 / np.sqrt(d.domain_measure))
 
 
-def _alternate(d, k, cfg, solve, dispersion):
+def _alternate(d, k, cfg, solve, dispersion, start=None):
     """Shared alternating loop: dispersion -> weights -> partition.
 
     ``solve`` maps a dispersion object to weights; ``dispersion`` maps a
-    partition to the dispersion object. The weights are a function of the
-    partition, so the loop stops when the partition repeats: a fixed point,
-    or a cycle, whose revisited partition is returned. A run capped by
-    max_iter_outer is not converged. Either way the returned weights and
-    the last trace entry belong to the returned partition.
+    partition to the dispersion object. The loop begins at ``start``, or,
+    when it is None, at weighted_kmeans under uniform_weights; that start
+    does not depend on the sparsity, so a caller fitting one dataset at
+    several sparsities can compute it once and pass it in. The weights are a
+    function of the partition, so the loop stops when the partition repeats:
+    a fixed point, or a cycle, whose revisited partition is returned. A run
+    capped by max_iter_outer is not converged. Either way the returned
+    weights and the last trace entry belong to the returned partition.
     """
     cfg = replace(cfg, k=int(k))
-    part = weighted_kmeans(d, uniform_weights(d), cfg)
+    if start is None:
+        part = weighted_kmeans(d, uniform_weights(d), cfg)
+    elif start.k != cfg.k or start.n_obs != d.n_obs:
+        raise PartitionMismatch(
+            f"start partition has k={start.k} over {start.n_obs} observations, "
+            f"expected k={cfg.k} over {d.n_obs}"
+        )
+    else:
+        part = start
     trace, seen = [], set()
     while True:
         disp = dispersion(d, part)
@@ -230,12 +248,18 @@ def _alternate(d, k, cfg, solve, dispersion):
     )
 
 
-def sparse_kmeans_mv(d: Dataset, k: int, m: int, cfg: KMeansConfig | None = None) -> SparseClusterResult:
+def sparse_kmeans_mv(
+    d: Dataset, k: int, m: int, cfg: KMeansConfig | None = None, *, start: Partition | None = None
+) -> SparseClusterResult:
     """Sparse K-means with hard-threshold feature selection.
 
     Alternates per-feature dispersion scoring, the closed-form top-(p-m)
     weight rule, and weighted K-means warm-started from the current
     partition. m, a whole number, is the number of features forced to zero weight.
+    ``start``, when given, replaces the uniform-weight first partition
+    (``weighted_kmeans(d, uniform_weights(d), replace(cfg, k=k))``), which
+    does not depend on m; a start with another k or number of observations
+    raises PartitionMismatch.
     """
     cfg = cfg or KMeansConfig()
     m = whole_m(m)
@@ -245,6 +269,7 @@ def sparse_kmeans_mv(d: Dataset, k: int, m: int, cfg: KMeansConfig | None = None
         cfg,
         solve=lambda disp: hard_threshold_weights(disp, m),
         dispersion=bcss_per_feature,
+        start=start,
     )
 
 
@@ -260,11 +285,14 @@ def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None
     )
 
 
-def sparse_kmeans_fd(d: FunctionalDataset, k: int, m: float, cfg: KMeansConfig | None = None) -> SparseClusterResult:
+def sparse_kmeans_fd(
+    d: FunctionalDataset, k: int, m: float, cfg: KMeansConfig | None = None, *, start: Partition | None = None
+) -> SparseClusterResult:
     """Sparse clustering of curves with level-set domain selection.
 
     m is the measure of the domain forced to zero weight; distances are
-    quadrature-weighted throughout.
+    quadrature-weighted throughout. ``start`` is the first partition, as in
+    sparse_kmeans_mv.
     """
     cfg = cfg or KMeansConfig()
     return _alternate(
@@ -273,6 +301,7 @@ def sparse_kmeans_fd(d: FunctionalDataset, k: int, m: float, cfg: KMeansConfig |
         cfg,
         solve=lambda disp: functional_threshold_weights(disp, m, grid=d.grid),
         dispersion=bcss_pointwise,
+        start=start,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datatypes import Dataset, FunctionalDataset, readonly_array
-from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv
+from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv, uniform_weights, weighted_kmeans
 from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, ValidationError
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
 from .solvers import whole_m
@@ -109,23 +109,33 @@ def permute_curves_within_blocks(
 def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
     """Permutation-gap scan shared by both tuners.
 
-    ``fit(data, k, m, cfg)`` returns a SparseClusterResult and
+    ``fit(data, k, m, cfg, start=...)`` returns a SparseClusterResult and
     ``permute(rng)`` one reference dataset. The same b_perms references are
     reused across all candidates so the curve is comparable along m. A
     candidate whose observed or reference objective is nonpositive, or
     whose fit raises NumericalError, is excluded.
+
+    The uniform-weight start of a fit does not depend on m, so each dataset's
+    start is computed once, when first needed, and kept only for this call.
+    A start that raises is not kept, so every candidate that needs it raises
+    and is excluded in turn.
     """
     if not candidates:
         raise SparsityOutOfRange("m_grid is empty")
     b_perms = int(b_perms)
     if b_perms < 1:
         raise ValidationError(f"b_perms must be >= 1, got {b_perms}")
-    references = []
+    runs = [(d, cfg)]  # the observed data, then the b_perms references
     for b in range(b_perms):
         rng = spawn_rng(cfg.seed, STREAM_PERMUTE, b)
-        references.append(
-            (permute(rng), replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1)))
-        )
+        runs.append((permute(rng), replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1))))
+    starts = {}
+
+    def objective(j, m):
+        data, run_cfg = runs[j]
+        if j not in starts:
+            starts[j] = weighted_kmeans(data, uniform_weights(data), replace(run_cfg, k=int(k)))
+        return fit(data, k, m, run_cfg, start=starts[j]).objective
 
     n_m = len(candidates)
     obs_log = np.full(n_m, np.nan)
@@ -135,12 +145,12 @@ def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
     excluded = np.zeros(n_m, dtype=bool)
     for i, m in enumerate(candidates):
         try:
-            obj = fit(d, k, m, cfg).objective
+            obj = objective(0, m)
             if obj <= 0.0:
                 raise DegenerateObjective(f"objective {obj} at m={m}")
             logs = np.empty(b_perms)
-            for b, (ref_d, ref_cfg) in enumerate(references):
-                ref = fit(ref_d, k, m, ref_cfg).objective
+            for b in range(b_perms):
+                ref = objective(b + 1, m)
                 if ref <= 0.0:
                     raise DegenerateObjective(
                         f"reference objective {ref} at m={m}, replicate {b}"

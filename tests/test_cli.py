@@ -120,6 +120,26 @@ class TestCluster:
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_truth_col_any_integer_labels(self, tmp_path):
+        """0-based and gapped truth columns exit 0 with the 1..k file's CER."""
+        d, truth = gen_mv(MvScenario(p=12, q=4, n_per_class=10, seed=3))
+        cers = []
+        for shift, scale in ((0, 1), (-1, 1), (0, 2)):  # labels 1..3, 0..2, 2..6
+            path = tmp_path / f"mv{shift}{scale}.csv"
+            labels = truth.labels * scale + shift
+            path.write_text("".join(
+                ",".join(repr(v) for v in row) + f",{lab}\n"
+                for row, lab in zip(d.values.tolist(), labels.tolist())
+            ))
+            out = tmp_path / f"out{shift}{scale}"
+            code = run_cli(
+                "cluster", "--input", path, "--k", "3", "--m", "8", "--truth-col", "12",
+                "--out", out, "--n-init", "2",
+            )
+            assert code == 0
+            cers.append(json.loads((out / "summary.json").read_text())["cer_vs_truth"])
+        assert cers[0] == cers[1] == cers[2]
+
     def test_duplicate_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("0.0,1.0\n3.0,-1.0\n7.0,2.0\n" * 4)

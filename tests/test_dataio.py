@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsekm.dataio import (
+    _parse_matrix,
     read_fd_csv,
     read_labels,
     read_mv_csv,
@@ -25,7 +26,12 @@ from sparsekm.datatypes import (
     trapezoid_weights,
 )
 from sparsekm.errors import EmptyData, ValidationError
+from sparsekm.metrics import cer
 from sparsekm.tuning import GapCurve
+
+# Cells on which a whole-file numpy conversion could part ways with float().
+TRICKY_CELLS = ["1_0", " 1.5", "infinity", "1e400", "0x10", "", "-NaN", "\t3\n", "1,5",
+                "1e", "1__0", "  -0 ", "1e-400"]
 
 
 class TestMvRoundTrip:
@@ -69,6 +75,20 @@ class TestMvRoundTrip:
         with pytest.raises(ValidationError, match="no header"):
             read_mv_csv(path, truth_col="label")
 
+    def test_truth_labels_mapped_to_1_to_k(self, tmp_path):
+        """0-based and gapped truth columns load as the 1..k labels, same CER."""
+        fit = Partition(np.array([1, 1, 2]), 2)
+        path = tmp_path / "data.csv"
+        loaded = []
+        for labels in ("1,2,2", "0,1,1", "1,3,3"):
+            rows = [f"{x},{y}" for x, y in zip([0.5, 1.5, 2.5], labels.split(","))]
+            path.write_text("x,label\n" + "\n".join(rows) + "\n")
+            back, truth = read_mv_csv(path, truth_col="label")
+            assert back.values.tolist() == [[0.5], [1.5], [2.5]]
+            loaded.append(truth)
+        assert all(t == Partition(np.array([1, 2, 2]), 2) for t in loaded)
+        assert len({cer(t, fit) for t in loaded}) == 1
+
     def test_non_integer_truth_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         for bad in ("1.5", "nan", "inf", "-inf"):
@@ -89,6 +109,33 @@ class TestParseErrors:
         path.write_text("a,b,c\n1,2,3\n4,5,oops\n")
         with pytest.raises(ValidationError, match=r"\(2, 3\)"):
             read_mv_csv(path)
+
+    def test_messages_unchanged(self, tmp_path):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(ValidationError) as err:
+            read_mv_csv(ragged)
+        assert str(err.value) == f"{ragged}: row 2 has 1 fields, expected 2"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,c\n1,2,3\n4,5,oops\n6,7\n")
+        with pytest.raises(ValidationError) as err:
+            read_mv_csv(bad)
+        assert str(err.value) == f"{bad}: cannot parse field (2, 3): 'oops'"
+
+    @pytest.mark.parametrize("cell", TRICKY_CELLS)
+    def test_numpy_parses_a_cell_as_float_does(self, cell):
+        try:
+            expected = float(cell)
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.array([[cell]], dtype=np.float64)
+            with pytest.raises(ValidationError, match=r"field \(2, 2\)"):
+                _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
+            return
+        got = np.array([[cell]], dtype=np.float64)
+        assert got.view(np.int64)[0, 0] == np.array(expected).view(np.int64)
+        parsed = _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
+        assert parsed.view(np.int64).tolist() == np.array([[1.0, 2.0], [3.0, expected]]).view(np.int64).tolist()
 
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "nope.csv"
@@ -150,6 +197,16 @@ class TestLabels:
         path.write_text("1\nabc\n")
         with pytest.raises(ValidationError, match=r"field \(2, 1\): 'abc'"):
             read_labels(path)
+
+    def test_labels_mapped_to_1_to_k(self, tmp_path):
+        fit = Partition(np.array([1, 1, 2]), 2)
+        path = tmp_path / "labels.csv"
+        loaded = []
+        for labels in ("1\n2\n2\n", "0\n1\n1\n", "1\n3\n3\n"):
+            path.write_text(labels)
+            loaded.append(read_labels(path))
+        assert all(t == Partition(np.array([1, 2, 2]), 2) for t in loaded)
+        assert len({cer(t, fit) for t in loaded}) == 1
 
     def test_multi_field_row_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
 from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
+    _best_weighted_lloyd,
     _lloyd,
     _transformed_matrix,
     soft_sparse_kmeans_mv,
@@ -13,7 +16,7 @@ from sparsekm.engine import (
     uniform_weights,
     weighted_kmeans,
 )
-from sparsekm.errors import KTooLarge, NumericalError, ValidationError
+from sparsekm.errors import KTooLarge, NumericalError, PartitionMismatch, ValidationError
 from sparsekm.metrics import cer
 from sparsekm.synthdata import MvScenario, gen_mv
 
@@ -262,3 +265,77 @@ class TestSparseKmeansFd:
         w = uniform_weights(d)
         assert float(np.sum(w**2)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(w == 1.0 / np.sqrt(5))
+
+
+def sparse_weight_cases(n_cases=40):
+    """Seeded datasets (vectors and curves) with weights that are zero on
+    about half the columns."""
+    rng = np.random.default_rng(31)
+    for case in range(n_cases):
+        n = int(rng.integers(8, 40))
+        p = int(rng.integers(3, 30))
+        values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        if case % 2:
+            d = FunctionalDataset(np.sort(rng.uniform(0.0, 1.0, p)) + np.arange(p), values)
+        else:
+            d = Dataset(values)
+        w = rng.uniform(0.0, 1.0, size=p) * (rng.random(p) < 0.5)
+        w[int(rng.integers(p))] = 1.0  # at least one active column
+        k = int(rng.integers(2, min(n, 5) + 1))
+        yield d, w, KMeansConfig(k=k, n_init=3, seed=case)
+
+
+class TestActiveColumns:
+    def test_transformed_matrix_keeps_positive_scale_columns(self):
+        for d, w, _ in sparse_weight_cases():
+            z = _transformed_matrix(d, w)
+            scale = w if d.quad_weights is None else d.quad_weights * w
+            keep = scale > 0.0
+            assert z.shape == (d.n_obs, int(keep.sum()))
+            assert np.array_equal(z, d.values[:, keep] * np.sqrt(scale[keep]))
+
+    def test_same_labels_as_zero_padded_matrix(self):
+        for d, w, cfg in sparse_weight_cases():
+            scale = w if d.quad_weights is None else d.quad_weights * w
+            padded = d.values * np.sqrt(scale)
+            active = _transformed_matrix(d, w)
+            cold_a, _ = _best_weighted_lloyd(active, cfg, None)
+            cold_p, _ = _best_weighted_lloyd(padded, cfg, None)
+            assert cold_a == cold_p
+            warm = Partition(np.arange(d.n_obs) % cfg.k + 1, cfg.k)
+            warm_a, _ = _best_weighted_lloyd(active, cfg, warm)
+            warm_p, _ = _best_weighted_lloyd(padded, cfg, warm)
+            assert warm_a == warm_p
+
+    def test_all_zero_weights_still_too_few_distinct_rows(self):
+        d, _ = three_clouds(seed=13)
+        with pytest.raises(NumericalError, match="1 distinct rows for k=3"):
+            weighted_kmeans(d, np.zeros(d.n_features), KMeansConfig(k=3, seed=0))
+
+
+class TestStart:
+    def test_start_gives_the_cold_fit(self):
+        d, _ = three_clouds(seed=14)
+        fd, _ = two_curve_clusters(seed=4)
+        for fit, data, k, m in ((sparse_kmeans_mv, d, 3, 2), (sparse_kmeans_fd, fd, 2, 0.4)):
+            cfg = KMeansConfig(n_init=3, seed=6)
+            start = weighted_kmeans(data, uniform_weights(data), replace(cfg, k=k))
+            cold = fit(data, k, m, cfg)
+            warm = fit(data, k, m, cfg, start=start)
+            assert warm.partition == cold.partition
+            assert np.array_equal(warm.weights.w, cold.weights.w)
+            assert warm.objective_trace == cold.objective_trace
+            assert warm.converged == cold.converged
+
+    def test_wrong_k_or_n_obs_rejected(self):
+        d, truth = three_clouds(seed=15)
+        fd, fd_truth = two_curve_clusters(seed=5)
+        short = Partition(truth.labels[:-1], 3)
+        with pytest.raises(PartitionMismatch, match="k=3"):
+            sparse_kmeans_mv(d, 2, 1, start=truth)
+        with pytest.raises(PartitionMismatch, match="observations"):
+            sparse_kmeans_mv(d, 3, 1, start=short)
+        with pytest.raises(PartitionMismatch, match="k=2"):
+            sparse_kmeans_fd(fd, 3, 0.4, start=fd_truth)
+        with pytest.raises(PartitionMismatch, match="observations"):
+            sparse_kmeans_fd(fd, 2, 0.4, start=Partition(fd_truth.labels[1:], 2))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekm import tuning
+from sparsekm import engine, tuning
 from sparsekm.datatypes import Dataset, FunctionalDataset, trapezoid_weights
 from sparsekm.engine import KMeansConfig
 from sparsekm.errors import DegenerateObjective, SparsityOutOfRange, ValidationError
@@ -233,3 +233,65 @@ def test_b_perms_checked_before_any_fit(monkeypatch):
                 tune_m_mv(informative_plus_noise(), 3, [0, 4], b_perms=b_perms)
             with pytest.raises(ValidationError, match="b_perms"):
                 tune_m_fd(fd, 2, [0.5], b_perms=b_perms)
+
+
+def small_curves(seed=6):
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, 30)
+    vals = rng.normal(0.0, 0.3, size=(24, 30))
+    vals[12:] += np.where(grid > 0.5, 4.0, 0.0)
+    return FunctionalDataset(grid, vals)
+
+
+SCANS = [
+    ("sparse_kmeans_mv", tune_m_mv, lambda: informative_plus_noise(seed=7), 3, [0, 3, 6, 8]),
+    ("sparse_kmeans_fd", tune_m_fd, small_curves, 2, [0.2, 0.4, 0.6]),
+]
+
+
+def count_cold_calls(monkeypatch):
+    """Count weighted_kmeans calls without a warm start, from tuning and engine."""
+    calls = []
+    original = engine.weighted_kmeans
+
+    def counting(d, w, cfg, init_partition=None):
+        calls.append(init_partition is None)
+        return original(d, w, cfg, init_partition)
+
+    monkeypatch.setattr(engine, "weighted_kmeans", counting)
+    monkeypatch.setattr(tuning, "weighted_kmeans", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fit_name, tune, data, k, grid", SCANS)
+def test_shared_start_matches_a_cold_start_per_fit(monkeypatch, fit_name, tune, data, k, grid):
+    """Every GapCurve array and m* are bit-equal to a scan whose fits each
+    compute their own uniform-weight start."""
+    cfg = KMeansConfig(n_init=2, seed=4)
+    d = data()
+    shared = tune(d, k, grid, b_perms=3, cfg=cfg)
+    fit = getattr(engine, fit_name)
+    monkeypatch.setattr(tuning, fit_name, lambda d, k, m, cfg, start=None: fit(d, k, m, cfg))
+    cold = tune(d, k, grid, b_perms=3, cfg=cfg)
+    assert shared[0] == cold[0]
+    for name in ("m_grid", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd", "excluded"):
+        assert np.array_equal(getattr(shared[1], name), getattr(cold[1], name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("fit_name, tune, data, k, grid", SCANS)
+def test_one_cold_start_per_dataset(monkeypatch, fit_name, tune, data, k, grid):
+    calls = count_cold_calls(monkeypatch)
+    _, curve = tune(data(), k, grid, b_perms=3, cfg=KMeansConfig(n_init=2, seed=4))
+    assert not curve.excluded.any()
+    assert sum(calls) == 1 + 3
+    assert len(calls) > sum(calls)  # the warm-started steps still run
+
+
+def test_failed_start_excludes_every_candidate(monkeypatch):
+    """A start that raises is not kept: each candidate retries it, is
+    excluded, and the scan ends in DegenerateObjective."""
+    calls = count_cold_calls(monkeypatch)
+    d = Dataset(np.repeat([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]], 6, axis=0))
+    with pytest.raises(DegenerateObjective, match="every candidate"):
+        tune_m_mv(d, 3, [0, 1, 2], b_perms=2, cfg=KMeansConfig(n_init=2, seed=0))
+    assert calls == [True, True, True]
