@@ -21,6 +21,7 @@ from .errors import EmptyData, LengthMismatch, ValidationError
 from .tuning import GapCurve
 
 SUMMARY_SCHEMA = 1
+_BLOCK_CELLS = 1 << 13  # cells converted per block when a CSV file is read
 
 
 def _fmt(x: float) -> str:
@@ -58,44 +59,60 @@ def _parses_as_number(token: str) -> bool:
     return True
 
 
-def _read_rows(path) -> tuple[list[str] | None, list[list[str]]]:
+def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
+    """The header (None when the first row parses as a number) and the float
+    matrix of a CSV file, skipping blank lines. Rows are converted in blocks
+    of about _BLOCK_CELLS cells as the reader yields them, so the file is
+    never held as one Python string per cell."""
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+            rows = (row for row in csv.reader(fh) if any(cell.strip() for cell in row))
+            first = next(rows, None)
+            if first is None:
+                raise EmptyData(f"{path} contains no data")
+            header = None
+            if not _parses_as_number(first[0].strip()):
+                header = [cell.strip() for cell in first]
+                first = next(rows, None)
+                if first is None:
+                    raise EmptyData(f"{path} contains a header but no data rows")
+            rows = itertools.chain([first], rows)
+            width, n_read, blocks = len(first), 0, []
+            block_rows = max(1, _BLOCK_CELLS // width)
+            while block := list(itertools.islice(rows, block_rows)):
+                blocks.append(_parse_matrix(block, path, width, n_read))
+                n_read += len(block)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise EmptyData(f"{path} contains no data")
-    header = None
-    if rows and not _parses_as_number(rows[0][0].strip()):
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise EmptyData(f"{path} contains a header but no data rows")
-    return header, rows
+    return header, np.concatenate(blocks)
 
 
-def _parse_matrix(rows: list[list[str]], path) -> np.ndarray:
+def _parse_matrix(rows: list[list[str]], path, width: int | None = None, offset: int = 0) -> np.ndarray:
     """Rows of cells as a float matrix, converted in one call; numpy parses a
-    cell exactly as float() does. Only a ragged or unparseable file takes the
-    per-cell loop, which names the first bad row or cell."""
+    cell exactly as float() does. ``rows`` are the file's data rows
+    offset + 1, offset + 2, ..., and each must have ``width`` fields (by
+    default, as many as the first). Only a ragged or unparseable block takes
+    the per-cell loop, which names the first bad row or cell."""
+    width = len(rows[0]) if width is None else width
     try:
-        return np.array(rows, dtype=np.float64)
+        out = np.array(rows, dtype=np.float64)
     except ValueError:
         pass
-    width = len(rows[0])
+    else:
+        if out.shape[1] == width:
+            return out
     out = np.empty((len(rows), width), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
+                f"{path}: row {offset + i + 1} has {len(row)} fields, expected {width}"
             )
         for j, cell in enumerate(row):
             try:
                 out[i, j] = float(cell)
             except ValueError:
                 raise ValidationError(
-                    f"{path}: cannot parse field ({i + 1}, {j + 1}): {cell!r}"
+                    f"{path}: cannot parse field ({offset + i + 1}, {j + 1}): {cell!r}"
                 ) from None
     return out
 
@@ -123,8 +140,7 @@ def read_mv_csv(path, truth_col: str | None = None) -> tuple[Dataset, Partition 
     column name. The column is excluded from the features and returned as
     a Partition.
     """
-    header, rows = _read_rows(path)
-    matrix = _parse_matrix(rows, path)
+    header, matrix = _read_matrix(path)
     truth = None
     names = tuple(header) if header else None
     if truth_col is not None:
@@ -152,10 +168,9 @@ def write_mv_csv(path, d: Dataset, truth: Partition | None = None) -> None:
 
 def read_fd_csv(path) -> FunctionalDataset:
     """Load curves: first data row holds the grid, later rows one curve each."""
-    _, rows = _read_rows(path)
-    if len(rows) < 2:
+    _, matrix = _read_matrix(path)
+    if len(matrix) < 2:
         raise EmptyData(f"{path}: need a grid row plus at least one curve row")
-    matrix = _parse_matrix(rows, path)
     return FunctionalDataset(matrix[0], matrix[1:])
 
 
@@ -168,8 +183,7 @@ def write_labels(path, part: Partition) -> None:
 
 
 def read_labels(path) -> Partition:
-    _, rows = _read_rows(path)
-    matrix = _parse_matrix(rows, path)
+    _, matrix = _read_matrix(path)
     if matrix.shape[1] != 1:
         raise ValidationError(f"{path}: label rows have {matrix.shape[1]} fields, expected 1")
     return Partition.from_labels(_integral_labels(matrix[:, 0], where=str(path)))

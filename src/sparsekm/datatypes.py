@@ -17,6 +17,7 @@ from .errors import (
     GridMismatch,
     NonFinite,
     NonMonotoneGrid,
+    NonMonotoneObjective,
     SparsityOutOfRange,
     ValidationError,
 )
@@ -334,9 +335,7 @@ class SparseClusterResult:
             raise EmptyData("objective trace is empty")
         for a, b in zip(trace, trace[1:]):
             if b < a - objective_slack(a):
-                raise SparsityOutOfRange(
-                    f"objective trace decreases: {a} -> {b}"
-                )
+                raise NonMonotoneObjective(f"objective trace decreases: {a} -> {b}")
         object.__setattr__(self, "objective_trace", trace)
         object.__setattr__(self, "converged", bool(self.converged))
 

@@ -9,6 +9,7 @@ repeats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,12 +61,15 @@ class KMeansConfig:
             raise ValidationError("iteration caps must be >= 1")
 
 
-def _pairwise_sq_dists(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(z * z, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * (z @ centroids.T)
-    )
+def _row_sq_norms(z: np.ndarray) -> np.ndarray:
+    return np.add.reduce(z * z, axis=1)
+
+
+def _pairwise_sq_dists(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances from every row of z to every centroid; ``sq_norms``
+    is _row_sq_norms(z), which does not change while the centroids move."""
+    d2 = np.add.outer(sq_norms, np.add.reduce(centroids * centroids, axis=1))
+    d2 -= 2.0 * (z @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -76,20 +80,28 @@ def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
     centroids = np.empty((k, z.shape[1]), dtype=np.float64)
     pick = int(rng.integers(n))
     centroids[0] = z[pick]
-    d2 = np.sum((z - centroids[0]) ** 2, axis=1)
+    d2 = np.add.reduce((z - centroids[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = float(d2.sum())
+        total = float(np.add.reduce(d2))
         if total <= 0.0:
             pick = int(rng.integers(n))
         else:
             r = rng.random() * total
             pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centroids[j] = z[pick]
-        np.minimum(d2, np.sum((z - centroids[j]) ** 2, axis=1), out=d2)
+        np.minimum(d2, np.add.reduce((z - centroids[j]) ** 2, axis=1), out=d2)
     return centroids
 
 
-def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
+def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes, out: np.ndarray) -> np.ndarray:
+    """Row ``j`` of ``out`` becomes the mean of the rows labelled ``j``; the
+    same sum-then-divide as ndarray.mean, so the bits are the same."""
+    for j, size in enumerate(sizes):
+        out[j] = np.add.reduce(z[labels0 == j], axis=0) / size
+    return out
+
+
+def _lloyd(z: np.ndarray, sq_norms: np.ndarray, k: int, centroids: np.ndarray, max_iter: int, finished: dict):
     """Lloyd iteration until the assignment is a fixed point.
 
     Returns (labels, wcss, wcss_history); history holds the post-assignment
@@ -98,17 +110,25 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
     centroid whose cluster keeps another member, which never increases the
     criterion; no cluster is left empty. With fewer than k distinct rows no
     reseed can separate the clusters, so TooFewDistinctRows is raised.
+
+    Once a labeling is accepted, the rest of the run depends on it alone,
+    because the next centroids are its cluster means. ``finished`` maps the
+    bytes of each labeling that an earlier run on the same ``z`` accepted on
+    its way to a fixed point to the steps it then still took. A run that
+    accepts such a labeling with at least that many steps left would end
+    with the same labels and WCSS, so it stops there and returns labels
+    None. A run that reaches its own fixed point adds its labelings.
     """
     n = z.shape[0]
     rows = np.arange(n)
-    labels = None
+    labels, key, path = None, None, []
     history = []
-    for _ in range(max_iter):
-        d2 = _pairwise_sq_dists(z, centroids)
+    for step in range(max_iter):
+        d2 = _pairwise_sq_dists(z, sq_norms, centroids)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
         sizes = np.bincount(new_labels, minlength=k)
-        if not sizes.all():
+        if np.count_nonzero(sizes) < k:
             n_distinct = np.unique(z, axis=0).shape[0]
             if n_distinct < k:
                 raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
@@ -118,12 +138,18 @@ def _lloyd(z: np.ndarray, k: int, centroids: np.ndarray, max_iter: int):
                 sizes[j] = 1
                 new_labels[far] = j
                 closest[far] = 0.0
-        history.append(float(closest.sum()))
-        if labels is not None and np.array_equal(new_labels, labels):
+        history.append(float(np.add.reduce(closest)))
+        new_key = new_labels.tobytes()
+        if new_key == key:
+            for i, visited in enumerate(path):
+                finished[visited] = len(path) - i
             break
-        labels = new_labels
-        for j in range(k):  # every cluster has a member after the reseeds
-            centroids[j] = z[labels == j].mean(axis=0)
+        left = finished.get(new_key)
+        if left is not None and left < max_iter - step:
+            return None, history[-1], history
+        labels, key = new_labels, new_key
+        path.append(key)
+        _cluster_means(z, labels, sizes, centroids)  # every cluster has a member after the reseeds
     return labels, history[-1], history
 
 
@@ -154,11 +180,11 @@ def _transformed_matrix(d, w) -> np.ndarray:
     return d.values[:, active] * np.sqrt(scale[active])[None, :]
 
 
-def _centroids_from_partition(z: np.ndarray, part: Partition) -> np.ndarray:
-    centroids = np.empty((part.k, z.shape[1]), dtype=np.float64)
-    for j in range(1, part.k + 1):
-        centroids[j - 1] = z[part.labels == j].mean(axis=0)
-    return centroids
+@functools.lru_cache(maxsize=1024)
+def _restart_state(seed: int, r: int) -> tuple[int, int]:
+    """PCG64 (state, inc) of restart r's stream, derived once per (seed, r)."""
+    state = spawn_rng(seed, STREAM_RESTART, r).bit_generator.state["state"]
+    return state["state"], state["inc"]
 
 
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
@@ -167,23 +193,30 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     Candidates are the warm start (when given) followed by n_init seeded
     kmeans++ draws; selection is by strictly smaller WCSS, so earlier
     candidates win ties. Putting the warm start first makes the outer
-    alternation's objective non-decreasing.
+    alternation's objective non-decreasing. A restart that rejoins the path
+    of an earlier candidate would tie with it, so _lloyd stops it there.
+    Row norms are computed once for all candidates.
     """
     k = int(cfg.k)
     if k > z.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {z.shape[0]} observations")
+    sq_norms, max_iter, finished = _row_sq_norms(z), int(cfg.max_iter_lloyd), {}
     best_labels, best_wcss = None, np.inf
     if warm is not None:
         if warm.n_obs != z.shape[0]:
             raise PartitionMismatch(
                 f"warm-start partition labels {warm.n_obs} observations, data has {z.shape[0]}"
             )
-        labels, wcss, _ = _lloyd(z, k, _centroids_from_partition(z, warm), cfg.max_iter_lloyd)
-        best_labels, best_wcss = labels, wcss
+        centroids = _cluster_means(z, warm.labels - 1, warm.sizes(), np.empty((warm.k, z.shape[1])))
+        best_labels, best_wcss, _ = _lloyd(z, sq_norms, k, centroids, max_iter, finished)
+    rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
     for r in range(int(cfg.n_init)):
-        rng = spawn_rng(cfg.seed, STREAM_RESTART, r)
-        labels, wcss, _ = _lloyd(z, k, _kmeanspp_init(z, k, rng), cfg.max_iter_lloyd)
-        if wcss < best_wcss:
+        state, inc = _restart_state(int(cfg.seed), r)
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        labels, wcss, _ = _lloyd(z, sq_norms, k, _kmeanspp_init(z, k, rng), max_iter, finished)
+        if labels is not None and wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition(_canonical_labels(best_labels), k), best_wcss
 
@@ -192,8 +225,8 @@ def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = 
     """K-means under a fixed feature weighting.
 
     ``w`` is a WeightVector, WeightFunction or bare array with one entry
-    per column of ``d``; ``cfg.k`` sets the number of clusters. An optional ``init_partition`` joins the restart pool as a
-    warm start and wins ties.
+    per column of ``d``; ``cfg.k`` sets the number of clusters. An optional
+    ``init_partition`` joins the restart pool as a warm start and wins ties.
     """
     z = _transformed_matrix(d, w)
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)

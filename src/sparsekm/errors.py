@@ -80,3 +80,7 @@ class DegenerateObjective(NumericalError):
 
 class TooFewDistinctRows(NumericalError):
     """Fewer distinct rows than clusters; names both counts."""
+
+
+class NonMonotoneObjective(NumericalError):
+    """The alternating loop's objective trace decreased beyond rounding slack."""

@@ -140,6 +140,16 @@ class TestCluster:
             cers.append(json.loads((out / "summary.json").read_text())["cer_vs_truth"])
         assert cers[0] == cers[1] == cers[2]
 
+    def test_decreasing_objective_exits_1(self, tmp_path, capsys):
+        # an offset of 1e8 cancels digits in the dispersion and the distances,
+        # and the objective trace falls; that is a numerical failure, not a usage error
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        path = tmp_path / "offset.csv"
+        write_mv_csv(path, Dataset(d.values + 1e8))
+        code = run_cli("cluster", "--input", path, "--k", "3", "--m", "40", "--out", tmp_path / "o")
+        assert code == 1
+        assert "objective trace decreases" in capsys.readouterr().err
+
     def test_duplicate_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("0.0,1.0\n3.0,-1.0\n7.0,2.0\n" * 4)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sparsekm import dataio
 from sparsekm.dataio import (
     _parse_matrix,
     read_fd_csv,
@@ -136,6 +137,26 @@ class TestParseErrors:
         assert got.view(np.int64)[0, 0] == np.array(expected).view(np.int64)
         parsed = _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
         assert parsed.view(np.int64).tolist() == np.array([[1.0, 2.0], [3.0, expected]]).view(np.int64).tolist()
+
+    def test_blocks_read_as_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 12)  # 3 rows of 4 fields per block
+        rng = np.random.default_rng(4)
+        d = Dataset(rng.normal(size=(10, 4)) * 10.0 ** rng.integers(-300, 300, size=(10, 4)))
+        path = tmp_path / "blocks.csv"
+        write_mv_csv(path, d)
+        back, _ = read_mv_csv(path)
+        assert back.values.view(np.int64).tolist() == d.values.view(np.int64).tolist()
+        rows = path.read_text().splitlines()
+        bad = rows[:8] + ["1,2,3,oops"] + rows[9:]  # data row 8, in the third block
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_mv_csv(path)
+        assert str(err.value) == f"{path}: cannot parse field (8, 4): 'oops'"
+        # a later block whose rows all agree with each other but not with row 1
+        path.write_text("\n".join(rows[:7] + [r + ",0" for r in rows[7:]]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            read_mv_csv(path)
+        assert str(err.value) == f"{path}: row 7 has 5 fields, expected 4"
 
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "nope.csv"

@@ -19,6 +19,8 @@ from sparsekm.errors import (
     LengthMismatch,
     NonFinite,
     NonMonotoneGrid,
+    NonMonotoneObjective,
+    NumericalError,
     SparsityOutOfRange,
     ValidationError,
 )
@@ -196,8 +198,10 @@ class TestSparseClusterResult:
         assert r.iterations == 3
 
     def test_rejects_decreasing_trace(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(NonMonotoneObjective, match="objective trace decreases"):
             self._mk([2.0, 1.0])
+        assert issubclass(NonMonotoneObjective, NumericalError)
+        assert not issubclass(NonMonotoneObjective, ValidationError)
 
     def test_slack_allows_float_noise(self):
         v = 1e6

@@ -2,13 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsekm import engine
 from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
 from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
     _best_weighted_lloyd,
+    _canonical_labels,
+    _kmeanspp_init,
     _lloyd,
+    _row_sq_norms,
     _transformed_matrix,
     soft_sparse_kmeans_mv,
     sparse_kmeans_fd,
@@ -16,9 +22,10 @@ from sparsekm.engine import (
     uniform_weights,
     weighted_kmeans,
 )
-from sparsekm.errors import KTooLarge, NumericalError, PartitionMismatch, ValidationError
+from sparsekm.errors import KTooLarge, NumericalError, PartitionMismatch, TooFewDistinctRows, ValidationError
 from sparsekm.metrics import cer
-from sparsekm.synthdata import MvScenario, gen_mv
+from sparsekm.rngutil import STREAM_RESTART, spawn_rng
+from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 
 def three_clouds(seed=0, n_per=12, p=4, gap=30.0):
@@ -134,7 +141,7 @@ class TestLloydInternals:
         z = rng.normal(size=(30, 3))
         for seed in range(5):
             picks = np.random.default_rng(seed).choice(30, 3, replace=False)
-            _, wcss, history = _lloyd(z, 3, z[picks].copy(), 100)
+            _, wcss, history = _lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), 100, {})
             hist = np.asarray(history)
             assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
             assert wcss == history[-1]
@@ -143,7 +150,7 @@ class TestLloydInternals:
         # cluster 1 starts empty; the row farthest from its centroid (5.0) is
         # the only member of cluster 0 and must not be taken
         z = np.array([[5.0], [20.0], [21.0], [22.0]])
-        labels, _, _ = _lloyd(z, 3, np.array([[0.0], [100.0], [21.0]]), 1)
+        labels, _, _ = _lloyd(z, _row_sq_norms(z), 3, np.array([[0.0], [100.0], [21.0]]), 1, {})
         assert np.all(np.bincount(labels, minlength=3) >= 1)
 
 
@@ -339,3 +346,181 @@ class TestStart:
             sparse_kmeans_fd(fd, 3, 0.4, start=fd_truth)
         with pytest.raises(PartitionMismatch, match="observations"):
             sparse_kmeans_fd(fd, 2, 0.4, start=Partition(fd_truth.labels[1:], 2))
+
+
+# Reference copy of the Lloyd engine with neither the merge stop nor the row
+# norm cache: every restart runs to its own fixed point or cap, and every
+# step recomputes the row norms. _best_weighted_lloyd must match it bit for bit.
+def _ref_pairwise_sq_dists(z, centroids):
+    d2 = (
+        np.sum(z * z, axis=1)[:, None]
+        + np.sum(centroids * centroids, axis=1)[None, :]
+        - 2.0 * (z @ centroids.T)
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _ref_kmeanspp_init(z, k, rng):
+    n = z.shape[0]
+    centroids = np.empty((k, z.shape[1]), dtype=np.float64)
+    pick = int(rng.integers(n))
+    centroids[0] = z[pick]
+    d2 = np.sum((z - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        centroids[j] = z[pick]
+        np.minimum(d2, np.sum((z - centroids[j]) ** 2, axis=1), out=d2)
+    return centroids
+
+
+def _ref_lloyd(z, k, centroids, max_iter, steps):
+    n = z.shape[0]
+    rows = np.arange(n)
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        steps[0] += 1
+        d2 = _ref_pairwise_sq_dists(z, centroids)
+        new_labels = d2.argmin(axis=1)
+        closest = d2[rows, new_labels]
+        sizes = np.bincount(new_labels, minlength=k)
+        if not sizes.all():
+            n_distinct = np.unique(z, axis=0).shape[0]
+            if n_distinct < k:
+                raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+            for j in np.flatnonzero(sizes == 0):
+                far = int(np.argmax(np.where(sizes[new_labels] > 1, closest, -1.0)))
+                sizes[new_labels[far]] -= 1
+                sizes[j] = 1
+                new_labels[far] = j
+                closest[far] = 0.0
+        history.append(float(closest.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = z[labels == j].mean(axis=0)
+    return labels, history[-1]
+
+
+def _ref_best_weighted_lloyd(z, cfg, warm, steps):
+    k = int(cfg.k)
+    best_labels, best_wcss = None, np.inf
+    if warm is not None:
+        centroids = np.empty((warm.k, z.shape[1]), dtype=np.float64)
+        for j in range(1, warm.k + 1):
+            centroids[j - 1] = z[warm.labels == j].mean(axis=0)
+        best_labels, best_wcss = _ref_lloyd(z, k, centroids, cfg.max_iter_lloyd, steps)
+    for r in range(int(cfg.n_init)):
+        rng = spawn_rng(cfg.seed, STREAM_RESTART, r)
+        labels, wcss = _ref_lloyd(z, k, _ref_kmeanspp_init(z, k, rng), cfg.max_iter_lloyd, steps)
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return Partition(_canonical_labels(best_labels), k), best_wcss
+
+
+def lloyd_cases(n_cases=240):
+    """Seeded transformed matrices: clustered or plain Gaussian rows, some
+    rounded so that distances tie, Lloyd caps of 1, 2, 3 and 100, with and
+    without a warm start."""
+    rng = np.random.default_rng(77)
+    for case in range(n_cases):
+        n = int(rng.integers(8, 121))
+        p = int(rng.integers(1, 31))
+        k = int(rng.integers(2, min(n, 5) + 1))
+        z = rng.normal(size=(n, p))
+        if case % 3 == 0:
+            z += 6.0 * rng.normal(size=(k, p))[rng.integers(k, size=n)]
+        if case % 4 == 1:
+            z = np.round(z)
+        cap = (1, 2, 3, 100)[case % 4 if case % 5 else 3]
+        cfg = KMeansConfig(k=k, n_init=int(rng.integers(1, 11)), max_iter_lloyd=cap, seed=case)
+        warm = None
+        if case % 2:
+            warm = Partition(np.r_[np.arange(k), rng.integers(k, size=n - k)] + 1, k)
+        yield z, cfg, warm
+
+
+class TestMergeStop:
+    def test_same_bits_as_reference(self):
+        for z, cfg, warm in lloyd_cases():
+            try:
+                want = _ref_best_weighted_lloyd(z, cfg, warm, [0])
+            except TooFewDistinctRows as exc:
+                with pytest.raises(TooFewDistinctRows, match=str(exc)):
+                    _best_weighted_lloyd(z, cfg, warm)
+                continue
+            got = _best_weighted_lloyd(z, cfg, warm)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    def test_stops_only_with_the_steps_to_finish(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(60, 4))
+        c0 = _kmeanspp_init(z, 3, spawn_rng(0, STREAM_RESTART, 0))
+        finished = {}
+        labels, wcss, history = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), 100, finished)
+        steps = len(history)  # the first labeling, then steps - 1 more to its fixed point
+        assert steps > 2 and len(finished) == steps - 1
+        # one step short of the fixed point: runs on, as without the record
+        capped = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps - 1, dict(finished))
+        alone = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps - 1, {})
+        assert capped[0] is not None and np.array_equal(capped[0], alone[0]) and capped[1] == alone[1]
+        # enough steps: stops at the first labeling, which would end at labels, wcss
+        merged = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, dict(finished))
+        assert merged[0] is None and len(merged[2]) == 1
+        assert _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, {})[1] == wcss
+
+    def test_fewer_lloyd_steps(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.5, 1.0, size=(40, 3))]
+        cfg = KMeansConfig(k=2, n_init=10, seed=0)
+        ref_steps = [0]
+        want = _ref_best_weighted_lloyd(z, cfg, None, ref_steps)
+        steps = [0]
+        dists = engine._pairwise_sq_dists
+
+        def counted(*args):
+            steps[0] += 1
+            return dists(*args)
+
+        monkeypatch.setattr(engine, "_pairwise_sq_dists", counted)
+        got = _best_weighted_lloyd(z, cfg, None)
+        assert got[0] == want[0] and got[1] == want[1]
+        assert steps[0] < ref_steps[0]
+
+
+class TestPowerOfTwoScale:
+    """Scaling the data by 2**e is exact, so the fit must not see it: the
+    same labels and weights, and the objective scaled by exactly 4**e."""
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000), e=st.integers(-300, 300))
+    def test_vectors(self, seed, e):
+        d, _ = gen_mv(MvScenario(p=12, q=4, n_per_class=8, seed=seed))
+        cfg = KMeansConfig(n_init=3, seed=seed)
+        base = sparse_kmeans_mv(d, 3, 6, cfg)
+        scaled = sparse_kmeans_mv(Dataset(d.values * 2.0**e), 3, 6, cfg)
+        self._assert_scaled(base, scaled, e)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000), e=st.integers(-300, 300))
+    def test_curves(self, seed, e):
+        fd, _ = gen_fd(FdScenario(n_grid=30, n_per_class=8, seed=seed))
+        cfg = KMeansConfig(n_init=3, seed=seed)
+        base = sparse_kmeans_fd(fd, 2, 0.5, cfg)
+        scaled = sparse_kmeans_fd(FunctionalDataset(fd.grid, fd.values * 2.0**e), 2, 0.5, cfg)
+        self._assert_scaled(base, scaled, e)
+
+    @staticmethod
+    def _assert_scaled(base, scaled, e):
+        assert scaled.partition == base.partition
+        assert np.array_equal(scaled.weights.w, base.weights.w)
+        assert scaled.objective_trace == tuple(v * 4.0**e for v in base.objective_trace)
+        assert scaled.converged == base.converged

@@ -7,6 +7,7 @@ from sparsekm import engine, tuning
 from sparsekm.datatypes import Dataset, FunctionalDataset, trapezoid_weights
 from sparsekm.engine import KMeansConfig
 from sparsekm.errors import DegenerateObjective, SparsityOutOfRange, ValidationError
+from sparsekm.synthdata import MvScenario, gen_mv
 from sparsekm.tuning import (
     GapCurve,
     _apply_one_sd_rule,
@@ -295,3 +296,12 @@ def test_failed_start_excludes_every_candidate(monkeypatch):
     with pytest.raises(DegenerateObjective, match="every candidate"):
         tune_m_mv(d, 3, [0, 1, 2], b_perms=2, cfg=KMeansConfig(n_init=2, seed=0))
     assert calls == [True, True, True]
+
+
+def test_decreasing_objective_is_excluded_not_a_usage_error():
+    """An offset of 1e8 makes every fit's objective trace fall; each candidate
+    is excluded and the scan ends in DegenerateObjective (exit 1), not in a
+    usage error."""
+    d, _ = gen_mv(MvScenario(p=50, seed=0))
+    with pytest.raises(DegenerateObjective, match="every candidate"):
+        tune_m_mv(Dataset(d.values + 1e8), 3, [40], b_perms=1)
