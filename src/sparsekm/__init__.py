@@ -9,7 +9,7 @@ gap; the submodules hold the soft-threshold baseline, the seeded
 benchmark generators and the CER/confusion metrics.
 """
 
-from .datatypes import Dataset, FunctionalDataset
+from .datatypes import Dataset
 from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv
 from .tuning import tune_m_mv
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition, WeightFunction, WeightVector, _integral_labels
+from .datatypes import Dataset, Partition, Weights, _integral_labels
 from .errors import EmptyData, LengthMismatch, ValidationError
 from .tuning import GapCurve
 
@@ -166,15 +166,15 @@ def write_mv_csv(path, d: Dataset, truth: Partition | None = None) -> None:
         _write_csv(path, names + ["label"], [d.values, truth.labels.tolist()])
 
 
-def read_fd_csv(path) -> FunctionalDataset:
+def read_fd_csv(path) -> Dataset:
     """Load curves: first data row holds the grid, later rows one curve each."""
     _, matrix = _read_matrix(path)
     if len(matrix) < 2:
         raise EmptyData(f"{path}: need a grid row plus at least one curve row")
-    return FunctionalDataset(matrix[0], matrix[1:])
+    return Dataset(matrix[1:], grid=matrix[0])
 
 
-def write_fd_csv(path, d: FunctionalDataset) -> None:
+def write_fd_csv(path, d: Dataset) -> None:
     _write_csv(path, None, [np.vstack([d.grid, d.values])])
 
 
@@ -189,11 +189,11 @@ def read_labels(path) -> Partition:
     return Partition.from_labels(_integral_labels(matrix[:, 0], where=str(path)))
 
 
-def write_weight_vector(path, wv: WeightVector) -> None:
+def write_weight_vector(path, wv: Weights) -> None:
     _write_csv(path, None, [wv.w])
 
 
-def write_weight_function(path, wf: WeightFunction) -> None:
+def write_weight_function(path, wf: Weights) -> None:
     _write_csv(path, ["x", "w"], [wf.grid, wf.w])
 
 
@@ -205,7 +205,7 @@ def write_gap_curve(path, curve: GapCurve) -> None:
     )
 
 
-def support_intervals(wf: WeightFunction) -> list[tuple[float, float]]:
+def support_intervals(wf: Weights) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the weight function is positive."""
     mask = wf.w > 0.0
     intervals = []

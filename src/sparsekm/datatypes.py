@@ -59,25 +59,43 @@ def _integral_labels(values, where: str = "labels") -> np.ndarray:
     return flt.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """N observations of p real features, stored as an (N, p) matrix.
+    """N observations sampled at p points, stored as an (N, p) matrix.
 
-    A feature vector is a curve whose samples each carry unit mass:
-    ``quad_weights`` is None and the domain measure is p.
+    Without a grid the columns are features: a feature vector is a curve
+    whose samples each carry unit mass, so ``quad_weights`` is None and the
+    domain measure is p. With a grid the rows are curves sampled on one
+    shared strictly increasing grid; ``quad_weights`` holds its trapezoidal
+    masses, used everywhere an integral over the domain is needed.
     """
 
     values: np.ndarray
+    grid: np.ndarray | None = None
     feature_names: tuple[str, ...] | None = None
-    quad_weights = None
+    quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        grid = self.grid
+        if grid is not None:
+            grid = np.asarray(grid, dtype=np.float64)
+            if grid.ndim != 1 or grid.size < 2:
+                raise EmptyData("grid needs at least 2 points")
+            check_finite(grid, "grid point")
+            diffs = np.diff(grid)
+            if np.any(diffs <= 0.0):
+                idx = int(np.argmax(diffs <= 0.0)) + 1
+                raise NonMonotoneGrid(f"grid not strictly increasing at index {idx}")
+            object.__setattr__(self, "grid", readonly_array(grid))
+            object.__setattr__(self, "quad_weights", readonly_array(trapezoid_weights(grid)))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise EmptyData(f"expected a 2-d matrix, got ndim={values.ndim}")
         n, p = values.shape
         if n < 2:
             raise EmptyData(f"need at least 2 observations, got {n}")
+        if grid is not None and p != grid.size:
+            raise GridMismatch(f"curves sampled at {p} points, grid has {grid.size}")
         if p < 1:
             raise EmptyData("need at least 1 feature")
         check_finite(values)
@@ -100,7 +118,7 @@ class Dataset:
 
     @property
     def domain_measure(self) -> float:
-        return float(self.n_features)
+        return float(self.n_features) if self.grid is None else float(self.grid[-1] - self.grid[0])
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -117,56 +135,11 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return qw
 
 
-@dataclass(frozen=True)
-class FunctionalDataset:
-    """N curves sampled on one shared strictly increasing grid.
-
-    ``quad_weights`` is derived from the grid by the trapezoidal rule and is
-    used everywhere an integral over the domain is needed.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    quad_weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise EmptyData("grid needs at least 2 points")
-        check_finite(grid, "grid point")
-        diffs = np.diff(grid)
-        if np.any(diffs <= 0.0):
-            idx = int(np.argmax(diffs <= 0.0)) + 1
-            raise NonMonotoneGrid(f"grid not strictly increasing at index {idx}")
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise EmptyData(f"expected an (N, G) matrix of curves, got ndim={values.ndim}")
-        if values.shape[0] < 2:
-            raise EmptyData(f"need at least 2 curves, got {values.shape[0]}")
-        if values.shape[1] != grid.size:
-            raise GridMismatch(
-                f"curves sampled at {values.shape[1]} points, grid has {grid.size}"
-            )
-        check_finite(values)
-        object.__setattr__(self, "grid", readonly_array(grid))
-        object.__setattr__(self, "values", readonly_array(values))
-        object.__setattr__(self, "quad_weights", readonly_array(trapezoid_weights(grid)))
-
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_points(self) -> int:
-        return self.grid.size
-
-    @property
-    def domain_measure(self) -> float:
-        return float(self.grid[-1] - self.grid[0])
-
-    @property
-    def max_spacing(self) -> float:
-        return float(np.max(np.diff(self.grid)))
+def require_grid(d: Dataset, gridded: bool, entry: str) -> None:
+    """GridMismatch unless ``d`` carries a grid exactly when ``entry`` needs one."""
+    if (d.grid is not None) != gridded:
+        need = "curves on a grid" if gridded else "feature vectors without a grid"
+        raise GridMismatch(f"{entry} needs {need}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,34 +197,68 @@ class Partition:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Nonnegative feature weights with unit L2 norm and exactly m zeros.
+class Weights:
+    """Nonnegative weights with unit (quadrature) L2 norm.
 
-    ``support_shrunk`` flags that nonpositive dispersion entries forced more
-    zeros than requested, so m exceeds the level the caller asked for.
+    Without a grid, ``w`` holds one weight per feature and m, an int, is the
+    exact number of zero weights. With a grid, ``w`` samples a weight curve
+    whose ``quad_weights`` are the grid's masses, and m, a float, is the
+    measure of the domain forced to zero weight; the zero set may undershoot
+    m by at most one grid cell. ``support_shrunk`` flags that nonpositive
+    dispersion entries forced more zeros than requested, so m exceeds the
+    level the caller asked for.
     """
 
     w: np.ndarray
-    m: int
+    m: int | float
+    grid: np.ndarray | None = None
+    quad_weights: np.ndarray | None = None
     support_shrunk: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise EmptyData("weights must be a non-empty 1-d vector")
+        if (self.grid is None) != (self.quad_weights is None):
+            raise GridMismatch("grid and quad_weights must be given together")
+        qw = None
+        if self.grid is not None:
+            grid = np.asarray(self.grid, dtype=np.float64)
+            qw = np.asarray(self.quad_weights, dtype=np.float64)
+            if grid.ndim != 1 or grid.size < 2:
+                raise EmptyData("grid needs at least 2 points")
+            if w.shape != grid.shape or qw.shape != grid.shape:
+                raise GridMismatch(
+                    f"lengths differ: grid {grid.size}, w {w.size}, quad {qw.size}"
+                )
         check_finite(w, "weight")
         if np.any(w < 0.0):
             idx = int(np.argmax(w < 0.0))
             raise SparsityOutOfRange(f"negative weight at index {idx}")
-        norm = float(np.sqrt(np.sum(w * w)))
+        norm = float(np.sqrt(np.sum(w * w if qw is None else qw * w * w)))
         if norm > 1.0 + EPS_NORM:
             raise SparsityOutOfRange(f"weight L2 norm {norm} exceeds 1")
-        m = int(self.m)
-        n_zero = int(np.count_nonzero(w == 0.0))
-        if n_zero != m:
-            raise SparsityOutOfRange(f"m={m} but {n_zero} weights are zero")
-        if not 0 <= m < w.size:
-            raise SparsityOutOfRange(f"m={m} outside [0, {w.size})")
+        if qw is None:
+            m = int(self.m)
+            n_zero = int(np.count_nonzero(w == 0.0))
+            if n_zero != m:
+                raise SparsityOutOfRange(f"m={m} but {n_zero} weights are zero")
+            if not 0 <= m < w.size:
+                raise SparsityOutOfRange(f"m={m} outside [0, {w.size})")
+        else:
+            measure = float(np.sum(qw))
+            m = float(self.m)
+            if not 0.0 < m < measure:
+                raise SparsityOutOfRange(f"m={m} outside (0, {measure})")
+            zero_measure = float(np.sum(qw[w == 0.0]))
+            cell = float(np.max(np.diff(grid)))
+            if zero_measure < m - cell:
+                raise SparsityOutOfRange(
+                    f"zero-weight measure {zero_measure} undershoots m={m} "
+                    f"by more than one grid cell ({cell})"
+                )
+            object.__setattr__(self, "grid", readonly_array(grid))
+            object.__setattr__(self, "quad_weights", readonly_array(qw))
         object.__setattr__(self, "w", readonly_array(w))
         object.__setattr__(self, "m", m)
 
@@ -262,57 +269,10 @@ class WeightVector:
     def l1(self) -> float:
         return float(np.sum(self.w))
 
-
-@dataclass(frozen=True, eq=False)
-class WeightFunction:
-    """Nonnegative weight curve with unit quadrature L2 norm.
-
-    m is the measure of the domain forced to zero weight; the zero set may
-    undershoot m by at most one grid cell.
-    """
-
-    grid: np.ndarray
-    w: np.ndarray
-    m: float
-    quad_weights: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        w = np.asarray(self.w, dtype=np.float64)
-        qw = np.asarray(self.quad_weights, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise EmptyData("grid needs at least 2 points")
-        if w.shape != grid.shape or qw.shape != grid.shape:
-            raise GridMismatch(
-                f"lengths differ: grid {grid.size}, w {w.size}, quad {qw.size}"
-            )
-        check_finite(w, "weight")
-        if np.any(w < 0.0):
-            idx = int(np.argmax(w < 0.0))
-            raise SparsityOutOfRange(f"negative weight at index {idx}")
-        norm = float(np.sqrt(np.sum(qw * w * w)))
-        if norm > 1.0 + EPS_NORM:
-            raise SparsityOutOfRange(f"weight quadrature L2 norm {norm} exceeds 1")
-        measure = float(np.sum(qw))
-        m = float(self.m)
-        if not 0.0 < m < measure:
-            raise SparsityOutOfRange(f"m={m} outside (0, {measure})")
-        zero_measure = float(np.sum(qw[w == 0.0]))
-        cell = float(np.max(np.diff(grid)))
-        if zero_measure < m - cell:
-            raise SparsityOutOfRange(
-                f"zero-weight measure {zero_measure} undershoots m={m} "
-                f"by more than one grid cell ({cell})"
-            )
-        object.__setattr__(self, "grid", readonly_array(grid))
-        object.__setattr__(self, "w", readonly_array(w))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "quad_weights", readonly_array(qw))
-
-    def support_mask(self) -> np.ndarray:
-        return self.w > 0.0
-
     def support_measure(self) -> float:
+        """Measure of the positive-weight set: a count without a grid."""
+        if self.quad_weights is None:
+            return float(self.support.size)
         return float(np.sum(self.quad_weights[self.w > 0.0]))
 
 
@@ -325,7 +285,7 @@ class SparseClusterResult:
     """
 
     partition: Partition
-    weights: object  # WeightVector or WeightFunction
+    weights: Weights
     objective_trace: tuple
     converged: bool
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition, check_finite, readonly_array
+from .datatypes import Dataset, Partition, check_finite, readonly_array
 from .errors import DimensionMismatch, PartitionMismatch
 
 
@@ -77,7 +77,7 @@ def bcss_per_feature(d: Dataset, part: Partition) -> Dispersion:
     return Dispersion(2.0 * between, clamped=clamped)
 
 
-def bcss_pointwise(d: FunctionalDataset, part: Partition) -> Dispersion:
+def bcss_pointwise(d: Dataset, part: Partition) -> Dispersion:
     """Pointwise between-cluster sum of squares on the dataset grid.
 
     Uses the half-pair-sum convention, which equals the classical

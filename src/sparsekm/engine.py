@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition, SparseClusterResult
+from .datatypes import Dataset, Partition, SparseClusterResult, require_grid
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -23,6 +23,7 @@ from .dispersion import (
 from .errors import (
     DimensionMismatch,
     KTooLarge,
+    NonFiniteDistances,
     PartitionMismatch,
     SparsityOutOfRange,
     TooFewDistinctRows,
@@ -207,6 +208,8 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
             raise PartitionMismatch(
                 f"warm-start partition labels {warm.n_obs} observations, data has {z.shape[0]}"
             )
+        if warm.k != k:
+            raise PartitionMismatch(f"warm-start partition has k={warm.k}, config has k={k}")
         centroids = _cluster_means(z, warm.labels - 1, warm.sizes(), np.empty((warm.k, z.shape[1])))
         best_labels, best_wcss, _ = _lloyd(z, sq_norms, k, centroids, max_iter, finished)
     rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
@@ -218,15 +221,20 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
         labels, wcss, _ = _lloyd(z, sq_norms, k, _kmeanspp_init(z, k, rng), max_iter, finished)
         if labels is not None and wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
+    if not np.isfinite(best_wcss):
+        raise NonFiniteDistances(
+            "squared distances are not finite: no restart has a finite within-cluster "
+            "sum of squares (the data's scale overflows float64)"
+        )
     return Partition(_canonical_labels(best_labels), k), best_wcss
 
 
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
     """K-means under a fixed feature weighting.
 
-    ``w`` is a WeightVector, WeightFunction or bare array with one entry
-    per column of ``d``; ``cfg.k`` sets the number of clusters. An optional
-    ``init_partition`` joins the restart pool as a warm start and wins ties.
+    ``w`` is a Weights or a bare array with one entry per column of ``d``;
+    ``cfg.k`` sets the number of clusters. An optional ``init_partition``
+    joins the restart pool as a warm start and wins ties.
     """
     z = _transformed_matrix(d, w)
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
@@ -294,6 +302,7 @@ def sparse_kmeans_mv(
     does not depend on m; a start with another k or number of observations
     raises PartitionMismatch.
     """
+    require_grid(d, False, "sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
     m = whole_m(m)
     return _alternate(
@@ -308,6 +317,7 @@ def sparse_kmeans_mv(
 
 def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None = None) -> SparseClusterResult:
     """Sparse K-means with the soft-threshold (L1 budget) baseline rule."""
+    require_grid(d, False, "soft_sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
     return _alternate(
         d,
@@ -319,7 +329,7 @@ def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None
 
 
 def sparse_kmeans_fd(
-    d: FunctionalDataset, k: int, m: float, cfg: KMeansConfig | None = None, *, start: Partition | None = None
+    d: Dataset, k: int, m: float, cfg: KMeansConfig | None = None, *, start: Partition | None = None
 ) -> SparseClusterResult:
     """Sparse clustering of curves with level-set domain selection.
 
@@ -327,6 +337,7 @@ def sparse_kmeans_fd(
     quadrature-weighted throughout. ``start`` is the first partition, as in
     sparse_kmeans_mv.
     """
+    require_grid(d, True, "sparse_kmeans_fd")
     cfg = cfg or KMeansConfig()
     return _alternate(
         d,

@@ -84,3 +84,7 @@ class TooFewDistinctRows(NumericalError):
 
 class NonMonotoneObjective(NumericalError):
     """The alternating loop's objective trace decreased beyond rounding slack."""
+
+
+class NonFiniteDistances(NumericalError):
+    """Squared distances overflowed, so no restart has a finite within-cluster sum of squares."""

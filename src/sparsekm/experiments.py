@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition, SparseClusterResult
+from .datatypes import Dataset, Partition, SparseClusterResult
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -72,7 +72,7 @@ class GaussianRunDetail:
 @dataclass(frozen=True)
 class CurveRunDetail:
     run: int
-    data: FunctionalDataset
+    data: Dataset
     truth: Partition
     standard: Partition
     sparse: SparseClusterResult

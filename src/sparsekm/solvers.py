@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .datatypes import WeightFunction, WeightVector, check_finite
+from .datatypes import Weights, check_finite
 from .errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
@@ -37,7 +37,7 @@ def whole_m(m) -> int:
     raise SparsityOutOfRange(f"m must be a whole number, got {m}")
 
 
-def hard_threshold_weights(b, m: int) -> WeightVector:
+def hard_threshold_weights(b, m: int) -> Weights:
     """Unit-norm weights proportional to b on its p - m largest entries.
 
     This is the exact maximizer of sum_j w_j b_j over nonnegative unit-L2
@@ -70,10 +70,10 @@ def hard_threshold_weights(b, m: int) -> WeightVector:
     vals = b_arr[support] / b_arr[support[0]]
     w = np.zeros(p)
     w[support] = vals / np.sqrt(np.sum(vals * vals))
-    return WeightVector(w, m=p - keep, support_shrunk=keep < target)
+    return Weights(w, m=p - keep, support_shrunk=keep < target)
 
 
-def soft_threshold_weights(a, s: float) -> WeightVector:
+def soft_threshold_weights(a, s: float) -> Weights:
     """L1-budgeted soft-threshold weights, the comparison baseline.
 
     Returns S(a_+, delta) / ||S(a_+, delta)||_2 where S shrinks toward zero
@@ -106,7 +106,7 @@ def soft_threshold_weights(a, s: float) -> WeightVector:
     l1, v, norm = evaluate(0.0)
     if l1 <= s:
         w = v / norm
-        return WeightVector(w, m=int(np.count_nonzero(w == 0.0)))
+        return Weights(w, m=int(np.count_nonzero(w == 0.0)))
 
     lo = 0.0
     hi = np.nextafter(float(np.max(a_pos)), 0.0)
@@ -136,7 +136,7 @@ def soft_threshold_weights(a, s: float) -> WeightVector:
         v = snapped
         norm = float(np.sqrt(np.sum(v * v)))
     w = v / norm
-    return WeightVector(w, m=int(np.count_nonzero(w == 0.0)))
+    return Weights(w, m=int(np.count_nonzero(w == 0.0)))
 
 
 def _function_context(b, quad):
@@ -189,7 +189,7 @@ def functional_threshold_level(b, m: float, quad=None) -> float:
     return float(sorted_b[last[hit[0]]])
 
 
-def functional_threshold_weights(b, m: float, grid, quad=None) -> WeightFunction:
+def functional_threshold_weights(b, m: float, grid, quad=None) -> Weights:
     """Level-set hard thresholding for weights over a continuous domain.
 
     Zeroes b outside its superlevel set at the level chosen by
@@ -215,7 +215,7 @@ def functional_threshold_weights(b, m: float, grid, quad=None) -> WeightFunction
     if norm2 <= 0.0:
         raise DegenerateDispersion("retained support carries zero dispersion mass")
     w = np.where(mask, u, 0.0) / np.sqrt(norm2)
-    return WeightFunction(g, w, m=float(m), quad_weights=qw)
+    return Weights(w, m=float(m), grid=g, quad_weights=qw)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, Partition
+from .datatypes import Dataset, Partition
 from .errors import ValidationError
 from .rngutil import STREAM_DATASET, spawn_rng, standard_normal
 
@@ -117,7 +117,7 @@ def curve_alt(x, a, b, c):
     return np.where(x <= 0.5, left, right)
 
 
-def gen_fd(s: FdScenario) -> tuple[FunctionalDataset, Partition]:
+def gen_fd(s: FdScenario) -> tuple[Dataset, Partition]:
     """Draw one curve dataset from the two-class design with true labels."""
     grid = np.linspace(0.0, 1.0, s.n_grid)
     rng = spawn_rng(s.seed, STREAM_DATASET)
@@ -132,7 +132,7 @@ def gen_fd(s: FdScenario) -> tuple[FunctionalDataset, Partition]:
         for i in range(n):
             curves[cls * n + i] = builder(grid, a[i], b[i], c[i])
     labels = np.repeat(np.array([1, 2], dtype=np.int64), n)
-    return FunctionalDataset(grid, curves), Partition(labels, 2)
+    return Dataset(curves, grid=grid), Partition(labels, 2)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, FunctionalDataset, readonly_array
+from .datatypes import Dataset, readonly_array, require_grid
 from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv, uniform_weights, weighted_kmeans
 from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, ValidationError
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
@@ -205,6 +205,7 @@ def tune_m_mv(
 
     Reference datasets shuffle every feature column independently.
     """
+    require_grid(d, False, "tune_m_mv")
     candidates = sorted({whole_m(m) for m in np.asarray(m_grid).ravel()})
     p = d.n_features
     for m in candidates:
@@ -217,7 +218,7 @@ def tune_m_mv(
 
 
 def tune_m_fd(
-    d: FunctionalDataset,
+    d: Dataset,
     k: int,
     m_grid,
     b_perms: int = 20,
@@ -230,6 +231,7 @@ def tune_m_fd(
     Reference datasets shuffle curve identities within each of n contiguous
     equal-measure subdomain blocks.
     """
+    require_grid(d, True, "tune_m_fd")
     candidates = sorted({float(m) for m in np.asarray(m_grid).ravel()})
     mu = float(np.sum(d.quad_weights))
     for m in candidates:
@@ -237,8 +239,8 @@ def tune_m_fd(
             raise SparsityOutOfRange(f"candidate m={m} outside (0, {mu})")
     return _gap_scan(
         d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_fd,
-        lambda rng: FunctionalDataset(
-            d.grid, permute_curves_within_blocks(d.values, d.quad_weights, int(n_subdomains), rng)
+        lambda rng: Dataset(
+            permute_curves_within_blocks(d.values, d.quad_weights, int(n_subdomains), rng), grid=d.grid
         ),
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
+from sparsekm.datatypes import Dataset, Partition
 from sparsekm.dispersion import bcss_per_feature
 from sparsekm.engine import (
     KMeansConfig,
@@ -264,7 +264,7 @@ def test_8_property_suite():
         else:
             g = int(rng.integers(8, 25))
             grid = np.linspace(0.0, 1.0, g)
-            fd = FunctionalDataset(grid, rng.normal(size=(n, g)))
+            fd = Dataset(rng.normal(size=(n, g)), grid=grid)
             m = float(rng.uniform(0.05, 0.7))
             res = sparse_kmeans_fd(fd, k, m, cfg)
         trace = np.asarray(res.objective_trace)

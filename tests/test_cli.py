@@ -5,7 +5,7 @@ import pytest
 
 from sparsekm.cli import main
 from sparsekm.dataio import read_labels, write_fd_csv, write_labels, write_mv_csv
-from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
+from sparsekm.datatypes import Dataset, Partition
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 
@@ -149,6 +149,16 @@ class TestCluster:
         code = run_cli("cluster", "--input", path, "--k", "3", "--m", "40", "--out", tmp_path / "o")
         assert code == 1
         assert "objective trace decreases" in capsys.readouterr().err
+
+    def test_overflow_exits_1(self, tmp_path, capsys):
+        # scaled by 1e160 the squared distances overflow; a numerical failure
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        path = tmp_path / "huge.csv"
+        write_mv_csv(path, Dataset(d.values * 1e160))
+        with pytest.warns(RuntimeWarning):
+            code = run_cli("cluster", "--input", path, "--k", "3", "--m", "40", "--out", tmp_path / "o")
+        assert code == 1
+        assert "squared distances are not finite" in capsys.readouterr().err
 
     def test_duplicate_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"

@@ -20,10 +20,8 @@ from sparsekm.dataio import (
 )
 from sparsekm.datatypes import (
     Dataset,
-    FunctionalDataset,
     Partition,
-    WeightFunction,
-    WeightVector,
+    Weights,
     trapezoid_weights,
 )
 from sparsekm.errors import EmptyData, ValidationError
@@ -187,7 +185,7 @@ class TestFdRoundTrip:
         rng = np.random.default_rng(2)
         grid = np.sort(rng.uniform(0.0, 1.0, 30))
         grid[0], grid[-1] = 0.0, 1.0
-        fd = FunctionalDataset(grid, rng.normal(size=(7, 30)))
+        fd = Dataset(rng.normal(size=(7, 30)), grid=grid)
         path = tmp_path / "curves.csv"
         write_fd_csv(path, fd)
         back = read_fd_csv(path)
@@ -242,13 +240,13 @@ class TestSupportIntervals:
         qw = trapezoid_weights(grid)
         mask = np.array([False, True, True, False, True, False])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = WeightFunction(grid, np.where(mask, c, 0.0), 0.3, qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.3, grid=grid, quad_weights=qw)
         assert support_intervals(wf) == [(0.2, 0.4), (0.8, 0.8)]
 
     def test_full_support_single_interval(self):
         grid = np.linspace(0.0, 1.0, 6)
         qw = trapezoid_weights(grid)
-        wf = WeightFunction(grid, np.ones(6), 0.1, qw)
+        wf = Weights(np.ones(6), 0.1, grid=grid, quad_weights=qw)
         assert support_intervals(wf) == [(0.0, 1.0)]
 
     def test_support_reaching_right_edge(self):
@@ -256,7 +254,7 @@ class TestSupportIntervals:
         qw = trapezoid_weights(grid)
         mask = np.array([False, False, False, True, True, True])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = WeightFunction(grid, np.where(mask, c, 0.0), 0.35, qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.35, grid=grid, quad_weights=qw)
         assert support_intervals(wf) == [(float(grid[3]), 1.0)]
 
 
@@ -264,7 +262,7 @@ class TestWriters:
     def test_weight_vector_round_trip(self, tmp_path):
         w = np.array([0.6, 0.8, 0.0])
         path = tmp_path / "w.csv"
-        write_weight_vector(path, WeightVector(w, m=1))
+        write_weight_vector(path, Weights(w, m=1))
         assert np.array_equal(np.loadtxt(path), w)
 
     def test_weight_function_round_trip(self, tmp_path):
@@ -272,7 +270,7 @@ class TestWriters:
         qw = trapezoid_weights(grid)
         mask = np.array([False, True, True, True, False])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = WeightFunction(grid, np.where(mask, c, 0.0), 0.25, qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.25, grid=grid, quad_weights=qw)
         path = tmp_path / "wf.csv"
         write_weight_function(path, wf)
         table = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -4,11 +4,9 @@ import pytest
 from sparsekm.datatypes import (
     EPS_NORM,
     Dataset,
-    FunctionalDataset,
     Partition,
     SparseClusterResult,
-    WeightFunction,
-    WeightVector,
+    Weights,
     objective_slack,
     trapezoid_weights,
 )
@@ -16,6 +14,7 @@ from sparsekm.errors import (
     DimensionMismatch,
     EmptyCluster,
     EmptyData,
+    GridMismatch,
     LengthMismatch,
     NonFinite,
     NonMonotoneGrid,
@@ -31,6 +30,8 @@ class TestDataset:
         d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert d.n_obs == 2
         assert d.n_features == 2
+        assert d.grid is None and d.quad_weights is None
+        assert d.domain_measure == 2.0
 
     def test_values_are_readonly(self):
         d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -57,6 +58,24 @@ class TestDataset:
         with pytest.raises(DimensionMismatch):
             Dataset(np.zeros((2, 3)), feature_names=("a", "b"))
 
+    def test_quad_weights_derived(self):
+        fd = Dataset(np.zeros((2, 3)), grid=np.array([0.0, 1.0, 2.0]))
+        assert np.allclose(fd.quad_weights, [0.5, 1.0, 0.5])
+        assert fd.domain_measure == pytest.approx(2.0)
+
+    def test_non_monotone_grid_names_index(self):
+        with pytest.raises(NonMonotoneGrid, match="2"):
+            Dataset(np.zeros((2, 3)), grid=np.array([0.0, 1.0, 1.0]))
+
+    def test_grid_length_must_match_columns(self):
+        with pytest.raises((LengthMismatch, ValidationError)):
+            Dataset(np.zeros((2, 3)), grid=np.array([0.0, 1.0]))
+
+    def test_compares_by_identity(self):
+        d = Dataset(np.zeros((2, 3)), grid=np.array([0.0, 1.0, 2.0]))
+        assert d == d
+        assert d != Dataset(d.values, grid=d.grid)
+
 
 class TestTrapezoidWeights:
     def test_uniform_grid(self):
@@ -71,25 +90,6 @@ class TestTrapezoidWeights:
         grid = np.sort(np.concatenate([[0.0, 7.0], np.random.default_rng(5).uniform(0, 7, 40)]))
         grid = np.unique(grid)
         assert trapezoid_weights(grid).sum() == pytest.approx(7.0, abs=1e-12)
-
-
-class TestFunctionalDataset:
-    def test_quad_weights_derived(self):
-        fd = FunctionalDataset(np.array([0.0, 1.0, 2.0]), np.zeros((2, 3)))
-        assert np.allclose(fd.quad_weights, [0.5, 1.0, 0.5])
-        assert fd.domain_measure == pytest.approx(2.0)
-
-    def test_non_monotone_grid_names_index(self):
-        with pytest.raises(NonMonotoneGrid, match="2"):
-            FunctionalDataset(np.array([0.0, 1.0, 1.0]), np.zeros((2, 3)))
-
-    def test_grid_length_must_match_columns(self):
-        with pytest.raises((LengthMismatch, ValidationError)):
-            FunctionalDataset(np.array([0.0, 1.0]), np.zeros((2, 3)))
-
-    def test_max_spacing(self):
-        fd = FunctionalDataset(np.array([0.0, 0.2, 1.0]), np.zeros((2, 3)))
-        assert fd.max_spacing == pytest.approx(0.8)
 
 
 class TestPartition:
@@ -134,47 +134,52 @@ class TestPartition:
 
 
 class TestWeightVector:
+    """Weights without a grid: one weight per feature, m an exact zero count."""
+
     def test_support_and_l1(self):
-        w = WeightVector(np.array([0.6, 0.0, 0.8]), 1, False)
+        w = Weights(np.array([0.6, 0.0, 0.8]), 1)
         assert np.array_equal(w.support, [0, 2])
         assert w.l1() == pytest.approx(1.4)
+        assert w.support_measure() == 2.0
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError):
-            WeightVector(np.array([-0.1, 1.0]), 0, False)
+            Weights(np.array([-0.1, 1.0]), 0)
 
     def test_rejects_norm_above_one(self):
         with pytest.raises(ValidationError):
-            WeightVector(np.array([1.0, 0.5]), 0, False)
+            Weights(np.array([1.0, 0.5]), 0)
 
     def test_norm_tolerance_is_tight(self):
         # 1 + EPS_NORM passes, visibly above it does not
-        WeightVector(np.array([1.0 + EPS_NORM / 2, 0.0]), 1, False)
+        Weights(np.array([1.0 + EPS_NORM / 2, 0.0]), 1)
         with pytest.raises(ValidationError):
-            WeightVector(np.array([1.0 + 10 * EPS_NORM, 0.0]), 1, False)
+            Weights(np.array([1.0 + 10 * EPS_NORM, 0.0]), 1)
 
     def test_zero_count_must_match_m(self):
         with pytest.raises(SparsityOutOfRange):
-            WeightVector(np.array([1.0, 0.0]), 0, False)
+            Weights(np.array([1.0, 0.0]), 0)
         with pytest.raises(SparsityOutOfRange):
-            WeightVector(np.array([0.6, 0.8]), 1, False)
+            Weights(np.array([0.6, 0.8]), 1)
 
 
 class TestWeightFunction:
+    """Weights on a grid: a weight curve, m a zero-weight measure."""
+
     def test_support_mask_and_measure(self):
         grid = np.linspace(0.0, 1.0, 5)
         qw = trapezoid_weights(grid)
         raw = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         w = raw / np.sqrt(np.sum(qw * raw**2))
-        wf = WeightFunction(grid, w, 0.375, qw)
-        assert np.array_equal(wf.support_mask(), raw > 0)
+        wf = Weights(w, 0.375, grid=grid, quad_weights=qw)
+        assert np.array_equal(wf.support, np.flatnonzero(raw > 0))
         assert wf.support_measure() == pytest.approx(qw[2:].sum())
 
     def test_rejects_overweight(self):
         grid = np.linspace(0.0, 1.0, 5)
         qw = trapezoid_weights(grid)
         with pytest.raises(ValidationError):
-            WeightFunction(grid, np.full(5, 10.0), 0.25, qw)
+            Weights(np.full(5, 10.0), 0.25, grid=grid, quad_weights=qw)
 
     def test_zero_measure_must_cover_m(self):
         grid = np.linspace(0.0, 1.0, 5)
@@ -183,13 +188,22 @@ class TestWeightFunction:
         w = raw / np.sqrt(np.sum(qw * raw**2))
         # zero measure is 0.125; asking for m=0.8 is inconsistent
         with pytest.raises(SparsityOutOfRange):
-            WeightFunction(grid, w, 0.8, qw)
+            Weights(w, 0.8, grid=grid, quad_weights=qw)
+
+    def test_grid_and_quad_weights_go_together(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(GridMismatch):
+            Weights(np.full(5, 0.5), 0.25, grid=grid)
+        with pytest.raises(GridMismatch):
+            Weights(np.full(5, 0.5), 0, quad_weights=trapezoid_weights(grid))
+        with pytest.raises(GridMismatch):
+            Weights(np.full(4, 0.5), 0.25, grid=grid, quad_weights=trapezoid_weights(grid))
 
 
 class TestSparseClusterResult:
     def _mk(self, trace):
         part = Partition(np.array([1, 2]), 2)
-        wv = WeightVector(np.array([1.0, 0.0]), 1, False)
+        wv = Weights(np.array([1.0, 0.0]), 1)
         return SparseClusterResult(part, wv, tuple(trace), True)
 
     def test_objective_is_last_trace_entry(self):

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from sparsekm.datatypes import (
     Dataset,
-    FunctionalDataset,
     Partition,
-    WeightVector,
+    Weights,
     trapezoid_weights,
 )
 from sparsekm.dispersion import (
@@ -99,7 +98,7 @@ class TestBcssPointwise:
     def test_frozen_example_classical_convention(self):
         grid = np.array([0.0, 1.0])
         vals = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 2.0], [2.0, 2.0]])
-        fd = FunctionalDataset(grid, vals)
+        fd = Dataset(vals, grid=grid)
         part = Partition(np.array([1, 1, 2, 2]), 2)
         disp = bcss_pointwise(fd, part)
         assert np.allclose(disp.b, [4.0, 4.0])
@@ -108,7 +107,7 @@ class TestBcssPointwise:
         rng = np.random.default_rng(9)
         grid = np.linspace(0.0, 1.0, 7)
         vals = rng.normal(size=(8, 7))
-        fd = FunctionalDataset(grid, vals)
+        fd = Dataset(vals, grid=grid)
         part = random_partition(rng, 8, 3)
         disp = bcss_pointwise(fd, part)
         for g_idx in range(7):
@@ -117,7 +116,7 @@ class TestBcssPointwise:
 
     def test_carries_quad_weights(self):
         grid = np.linspace(0.0, 2.0, 5)
-        fd = FunctionalDataset(grid, np.random.default_rng(1).normal(size=(4, 5)))
+        fd = Dataset(np.random.default_rng(1).normal(size=(4, 5)), grid=grid)
         part = Partition(np.array([1, 1, 2, 2]), 2)
         disp = bcss_pointwise(fd, part)
         assert np.array_equal(disp.quad_weights, fd.quad_weights)
@@ -131,7 +130,7 @@ class TestBcssPointwise:
 class TestWeightedDistanceAndObjective:
     def test_objective_vector_is_dot_product(self):
         disp = Dispersion(np.array([1.0, 2.0, 3.0]))
-        wv = WeightVector(np.array([0.6, 0.0, 0.8]), 1, False)
+        wv = Weights(np.array([0.6, 0.0, 0.8]), 1)
         assert weighted_objective(wv, disp) == pytest.approx(0.6 + 2.4)
 
     def test_objective_function_is_quadrature_integral(self):
@@ -141,9 +140,7 @@ class TestWeightedDistanceAndObjective:
         disp = Dispersion(b, qw, False)
         raw = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         wnorm = raw / np.sqrt(np.sum(qw * raw**2))
-        from sparsekm.datatypes import WeightFunction
-
-        wf = WeightFunction(grid, wnorm, 0.375, qw)
+        wf = Weights(wnorm, 0.375, grid=grid, quad_weights=qw)
         assert weighted_objective(wf, disp) == pytest.approx(float(np.sum(qw * wnorm * b)))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekm import engine
-from sparsekm.datatypes import Dataset, FunctionalDataset, Partition
+from sparsekm.datatypes import Dataset, Partition
 from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
@@ -22,7 +22,15 @@ from sparsekm.engine import (
     uniform_weights,
     weighted_kmeans,
 )
-from sparsekm.errors import KTooLarge, NumericalError, PartitionMismatch, TooFewDistinctRows, ValidationError
+from sparsekm.errors import (
+    GridMismatch,
+    KTooLarge,
+    NonFiniteDistances,
+    NumericalError,
+    PartitionMismatch,
+    TooFewDistinctRows,
+    ValidationError,
+)
 from sparsekm.metrics import cer
 from sparsekm.rngutil import STREAM_RESTART, spawn_rng
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
@@ -96,6 +104,13 @@ class TestWeightedKmeans:
         warm = weighted_kmeans(d, w, cfg, init_partition=truth)
         cold = weighted_kmeans(d, w, cfg)
         assert wcss(warm) <= wcss(cold) + 1e-9
+
+    def test_warm_start_with_another_k_rejected(self):
+        d = Dataset(np.random.default_rng(16).normal(size=(30, 4)))
+        for k in (2, 4):
+            warm = Partition(np.arange(30) % k + 1, k)
+            with pytest.raises(PartitionMismatch, match=f"k={k}, config has k=3"):
+                weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=3), init_partition=warm)
 
     def test_zero_weights_ignore_noise_features(self):
         # feature 0 separates the clusters; feature 1 is pure noise that, if
@@ -230,7 +245,7 @@ def two_curve_clusters(seed=0, n_per=15, n_grid=30):
     bump = np.where(grid > 0.5, 5.0, 0.0)
     base[n_per:] += bump
     labels = np.repeat([1, 2], n_per).astype(np.int64)
-    return FunctionalDataset(grid, base), Partition(labels, 2)
+    return Dataset(base, grid=grid), Partition(labels, 2)
 
 
 class TestSparseKmeansFd:
@@ -245,7 +260,7 @@ class TestSparseKmeansFd:
 
     def test_mirrored_separation_flips_support(self):
         fd, truth = two_curve_clusters(seed=1)
-        mirrored = FunctionalDataset(fd.grid, fd.values[:, ::-1])
+        mirrored = Dataset(fd.values[:, ::-1], grid=fd.grid)
         res = sparse_kmeans_fd(mirrored, 2, 0.5, KMeansConfig(k=2, seed=0))
         assert cer(truth, res.partition) == 0.0
         wf = res.weights
@@ -283,7 +298,7 @@ def sparse_weight_cases(n_cases=40):
         p = int(rng.integers(3, 30))
         values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
         if case % 2:
-            d = FunctionalDataset(np.sort(rng.uniform(0.0, 1.0, p)) + np.arange(p), values)
+            d = Dataset(values, grid=np.sort(rng.uniform(0.0, 1.0, p)) + np.arange(p))
         else:
             d = Dataset(values)
         w = rng.uniform(0.0, 1.0, size=p) * (rng.random(p) < 0.5)
@@ -515,7 +530,7 @@ class TestPowerOfTwoScale:
         fd, _ = gen_fd(FdScenario(n_grid=30, n_per_class=8, seed=seed))
         cfg = KMeansConfig(n_init=3, seed=seed)
         base = sparse_kmeans_fd(fd, 2, 0.5, cfg)
-        scaled = sparse_kmeans_fd(FunctionalDataset(fd.grid, fd.values * 2.0**e), 2, 0.5, cfg)
+        scaled = sparse_kmeans_fd(Dataset(fd.values * 2.0**e, grid=fd.grid), 2, 0.5, cfg)
         self._assert_scaled(base, scaled, e)
 
     @staticmethod
@@ -524,3 +539,38 @@ class TestPowerOfTwoScale:
         assert np.array_equal(scaled.weights.w, base.weights.w)
         assert scaled.objective_trace == tuple(v * 4.0**e for v in base.objective_trace)
         assert scaled.converged == base.converged
+
+
+class TestOverflow:
+    """Data near the float64 limit overflows the squared distances; that is a
+    numerical failure naming its cause, not an empty-labels usage error."""
+
+    def test_vectors(self):
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
+            sparse_kmeans_mv(Dataset(d.values * 1e160), 3, 40, KMeansConfig())
+        assert issubclass(NonFiniteDistances, NumericalError)
+
+    def test_curves(self):
+        fd, _ = gen_fd(FdScenario(seed=0))
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
+            sparse_kmeans_fd(Dataset(fd.values * 1e160, grid=fd.grid), 2, 0.5, KMeansConfig())
+
+
+class TestKindOfData:
+    """Vector entry points reject a grid; curve entry points need one."""
+
+    def test_sparse_kmeans_mv_rejects_a_grid(self):
+        fd, _ = two_curve_clusters(seed=1)
+        with pytest.raises(GridMismatch, match="sparse_kmeans_mv needs feature vectors"):
+            sparse_kmeans_mv(fd, 2, 1)
+
+    def test_soft_sparse_kmeans_mv_rejects_a_grid(self):
+        fd, _ = two_curve_clusters(seed=1)
+        with pytest.raises(GridMismatch, match="soft_sparse_kmeans_mv needs feature vectors"):
+            soft_sparse_kmeans_mv(fd, 2, 1.5)
+
+    def test_sparse_kmeans_fd_needs_a_grid(self):
+        d, _ = three_clouds(seed=1)
+        with pytest.raises(GridMismatch, match="sparse_kmeans_fd needs curves on a grid"):
+            sparse_kmeans_fd(d, 3, 0.5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekm.datatypes import FunctionalDataset, trapezoid_weights
+from sparsekm.datatypes import Dataset, trapezoid_weights
 from sparsekm.errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
@@ -276,7 +276,7 @@ class TestFunctionalThreshold:
             functional_threshold_weights(b, 0.4, quad=np.full(4, 0.25), grid=np.arange(3.0))
 
     def test_two_node_grid_runs(self):
-        fd = FunctionalDataset(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        fd = Dataset(np.zeros((2, 2)), grid=np.array([0.0, 1.0]))
         wf = functional_threshold_weights(
             np.array([1.0, 2.0]), 0.4, quad=fd.quad_weights, grid=fd.grid
         )

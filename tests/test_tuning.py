@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sparsekm import engine, tuning
-from sparsekm.datatypes import Dataset, FunctionalDataset, trapezoid_weights
+from sparsekm.datatypes import Dataset, trapezoid_weights
 from sparsekm.engine import KMeansConfig
-from sparsekm.errors import DegenerateObjective, SparsityOutOfRange, ValidationError
-from sparsekm.synthdata import MvScenario, gen_mv
+from sparsekm.errors import DegenerateObjective, GridMismatch, SparsityOutOfRange, ValidationError
+from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 from sparsekm.tuning import (
     GapCurve,
     _apply_one_sd_rule,
@@ -202,7 +202,7 @@ class TestTuneFd:
         grid = np.linspace(0.0, 1.0, 40)
         vals = rng.normal(0.0, 0.3, size=(30, 40))
         vals[15:] += np.where(grid > 0.5, 4.0, 0.0)
-        fd = FunctionalDataset(grid, vals)
+        fd = Dataset(vals, grid=grid)
         cfg = KMeansConfig(k=2, n_init=2, seed=0)
         m_star, curve = tune_m_fd(
             fd, 2, [0.2, 0.4], b_perms=3, n_subdomains=8, cfg=cfg
@@ -226,7 +226,7 @@ def test_b_perms_checked_before_any_fit(monkeypatch):
     monkeypatch.setattr(tuning, "sparse_kmeans_mv", no_fit)
     monkeypatch.setattr(tuning, "sparse_kmeans_fd", no_fit)
     grid = np.linspace(0.0, 1.0, 10)
-    fd = FunctionalDataset(grid, np.random.default_rng(0).normal(size=(8, 10)))
+    fd = Dataset(np.random.default_rng(0).normal(size=(8, 10)), grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for b_perms in (0, -1):
@@ -241,7 +241,7 @@ def small_curves(seed=6):
     grid = np.linspace(0.0, 1.0, 30)
     vals = rng.normal(0.0, 0.3, size=(24, 30))
     vals[12:] += np.where(grid > 0.5, 4.0, 0.0)
-    return FunctionalDataset(grid, vals)
+    return Dataset(vals, grid=grid)
 
 
 SCANS = [
@@ -305,3 +305,23 @@ def test_decreasing_objective_is_excluded_not_a_usage_error():
     d, _ = gen_mv(MvScenario(p=50, seed=0))
     with pytest.raises(DegenerateObjective, match="every candidate"):
         tune_m_mv(Dataset(d.values + 1e8), 3, [40], b_perms=1)
+
+
+def test_overflow_is_excluded_not_a_usage_error():
+    """Scaled by 1e160, every fit's squared distances overflow; each candidate
+    is excluded and the scan ends in DegenerateObjective."""
+    d, _ = gen_mv(MvScenario(p=50, seed=0))
+    with pytest.warns(RuntimeWarning), pytest.raises(DegenerateObjective, match="every candidate"):
+        tune_m_mv(Dataset(d.values * 1e160), 3, [40], b_perms=1)
+
+
+def test_tune_m_mv_rejects_a_grid():
+    fd, _ = gen_fd(FdScenario(n_grid=20, n_per_class=5, seed=0))
+    with pytest.raises(GridMismatch, match="tune_m_mv needs feature vectors"):
+        tune_m_mv(fd, 2, [1], b_perms=1)
+
+
+def test_tune_m_fd_needs_a_grid():
+    d, _ = gen_mv(MvScenario(p=5, q=2, n_per_class=5, seed=0))
+    with pytest.raises(GridMismatch, match="tune_m_fd needs curves on a grid"):
+        tune_m_fd(d, 3, [0.5], b_perms=1)
