@@ -57,8 +57,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _wrote(path: Path) -> None:
-    print(f"wrote {path}")
+def _finish(out: Path, summary: dict, written) -> int:
+    """Write summary.json, then print a ``wrote`` line per file in ``written`` and for it."""
+    dataio.write_summary(out / "summary.json", summary)
+    for name in (*written, "summary.json"):
+        print(f"wrote {out / name}")
+    return 0
 
 
 def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int:
@@ -71,10 +75,7 @@ def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int
                    objective_trace=list(result.objective_trace))
     if truth is not None:
         summary["cer_vs_truth"] = cer(truth, result.partition)
-    dataio.write_summary(out / "summary.json", summary)
-    for name in ("labels.csv", weights_name, "summary.json"):
-        _wrote(out / name)
-    return 0
+    return _finish(out, summary, ("labels.csv", weights_name))
 
 
 def cmd_cluster(args) -> int:
@@ -123,57 +124,29 @@ def cmd_tune(args) -> int:
     cfg = _cfg_from(args, args.k)
     if args.functional:
         data = dataio.read_fd_csv(args.input)
-        mu = data.domain_measure
-        grid = (
-            _parse_grid(args.m_grid, float)
-            if args.m_grid
-            else [mu * i / 10.0 for i in range(1, 10)]
-        )
-        m_star, curve = tune_m_fd(
-            data,
-            args.k,
-            grid,
-            b_perms=args.b_perms,
-            n_subdomains=args.n_subdomains,
-            cfg=cfg,
-            one_sd_rule=args.one_sd_rule,
-        )
+        cast, tune, extra = float, tune_m_fd, {"n_subdomains": args.n_subdomains}
+        default_grid = [data.domain_measure * i / 10.0 for i in range(1, 10)]
     else:
         data, _ = dataio.read_mv_csv(args.input)
-        p = data.n_features
-        grid = (
-            _parse_grid(args.m_grid, int)
-            if args.m_grid
-            else sorted({int(round(v)) for v in np.linspace(0, p - 1, 10)})
-        )
-        m_star, curve = tune_m_mv(
-            data,
-            args.k,
-            grid,
-            b_perms=args.b_perms,
-            cfg=cfg,
-            one_sd_rule=args.one_sd_rule,
-        )
+        cast, tune, extra = int, tune_m_mv, {}
+        default_grid = sorted({int(round(v)) for v in np.linspace(0, data.n_features - 1, 10)})
+    grid = _parse_grid(args.m_grid, cast) if args.m_grid else default_grid
+    m_star, curve = tune(data, args.k, grid, b_perms=args.b_perms, cfg=cfg,
+                         one_sd_rule=args.one_sd_rule, **extra)
     out = _outdir(args)
     dataio.write_gap_curve(out / "gap_curve.csv", curve)
-    dataio.write_summary(
-        out / "summary.json",
-        {
-            "command": "tune",
-            "input": str(args.input),
-            "functional": bool(args.functional),
-            "k": args.k,
-            "chosen_m": m_star,
-            "b_perms": args.b_perms,
-            "one_sd_rule": bool(args.one_sd_rule),
-            "seed": args.seed,
-            "m_grid": list(curve.m_grid),
-            "excluded": list(curve.excluded),
-        },
-    )
-    for name in ("gap_curve.csv", "summary.json"):
-        _wrote(out / name)
-    return 0
+    return _finish(out, {
+        "command": "tune",
+        "input": str(args.input),
+        "functional": bool(args.functional),
+        "k": args.k,
+        "chosen_m": m_star,
+        "b_perms": args.b_perms,
+        "one_sd_rule": bool(args.one_sd_rule),
+        "seed": args.seed,
+        "m_grid": list(curve.m_grid),
+        "excluded": list(curve.excluded),
+    }, ("gap_curve.csv",))
 
 
 def _write_benchmark_outputs(out: Path, records, summaries, sd_zero: bool) -> None:
@@ -220,28 +193,22 @@ def cmd_simulate(args) -> int:
                 dataio.write_fd_csv(out / f"curves_run{det.run:02d}.csv", det.data)
                 dataio.write_labels(out / f"truth_run{det.run:02d}.csv", det.truth)
     _write_benchmark_outputs(out, records, summaries, args.sd_zero)
-    dataio.write_summary(
-        out / "summary.json",
-        {
-            "command": "simulate",
-            "which": args.which,
-            "runs": runs,
-            "seed": args.seed,
-            **meta,
-            "report": [
-                {
-                    "method": s.method,
-                    "mean_cer": s.mean_cer,
-                    "sd_cer": s.sd_cer,
-                    "n_runs": s.n_runs,
-                }
-                for s in summaries
-            ],
-        },
-    )
-    for name in ("report.csv", "runs.csv", "summary.json"):
-        _wrote(out / name)
-    return 0
+    return _finish(out, {
+        "command": "simulate",
+        "which": args.which,
+        "runs": runs,
+        "seed": args.seed,
+        **meta,
+        "report": [
+            {
+                "method": s.method,
+                "mean_cer": s.mean_cer,
+                "sd_cer": s.sd_cer,
+                "n_runs": s.n_runs,
+            }
+            for s in summaries
+        ],
+    }, ("report.csv", "runs.csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, Weights, _integral_labels
+from .datatypes import Dataset, Partition, Weights, _integral_labels, require_grid
 from .errors import EmptyData, LengthMismatch, ValidationError
 from .tuning import GapCurve
 
@@ -175,6 +175,7 @@ def read_fd_csv(path) -> Dataset:
 
 
 def write_fd_csv(path, d: Dataset) -> None:
+    require_grid(d, True, "write_fd_csv")
     _write_csv(path, None, [np.vstack([d.grid, d.values])])
 
 
@@ -194,6 +195,7 @@ def write_weight_vector(path, wv: Weights) -> None:
 
 
 def write_weight_function(path, wf: Weights) -> None:
+    require_grid(wf, True, "write_weight_function")
     _write_csv(path, ["x", "w"], [wf.grid, wf.w])
 
 
@@ -207,6 +209,7 @@ def write_gap_curve(path, curve: GapCurve) -> None:
 
 def support_intervals(wf: Weights) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the weight function is positive."""
+    require_grid(wf, True, "support_intervals")
     mask = wf.w > 0.0
     intervals = []
     start = None

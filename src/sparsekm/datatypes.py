@@ -45,6 +45,16 @@ def check_finite(values: np.ndarray, what: str = "value") -> None:
         raise NonFinite(f"non-finite {what} at index {pos[0] if len(pos) == 1 else pos}")
 
 
+def whole_m(m) -> int:
+    """A feature count m as an int; 10.0 passes, 2.7, nan and inf do not."""
+    try:
+        if float(m).is_integer():
+            return int(m)
+    except (TypeError, ValueError):
+        pass
+    raise SparsityOutOfRange(f"m must be a whole number, got {m}")
+
+
 def _integral_labels(values, where: str = "labels") -> np.ndarray:
     """``values`` as int64 labels. NaN, ±inf, fractional and out-of-int64 entries raise
     before any cast can warn, naming ``where`` and the first bad row, counted from 1."""
@@ -135,7 +145,7 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return qw
 
 
-def require_grid(d: Dataset, gridded: bool, entry: str) -> None:
+def require_grid(d: Dataset | Weights, gridded: bool, entry: str) -> None:
     """GridMismatch unless ``d`` carries a grid exactly when ``entry`` needs one."""
     if (d.grid is not None) != gridded:
         need = "curves on a grid" if gridded else "feature vectors without a grid"
@@ -239,7 +249,7 @@ class Weights:
         if norm > 1.0 + EPS_NORM:
             raise SparsityOutOfRange(f"weight L2 norm {norm} exceeds 1")
         if qw is None:
-            m = int(self.m)
+            m = whole_m(self.m)
             n_zero = int(np.count_nonzero(w == 0.0))
             if n_zero != m:
                 raise SparsityOutOfRange(f"m={m} but {n_zero} weights are zero")

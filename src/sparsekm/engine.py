@@ -182,10 +182,9 @@ def _transformed_matrix(d, w) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _restart_state(seed: int, r: int) -> tuple[int, int]:
-    """PCG64 (state, inc) of restart r's stream, derived once per (seed, r)."""
-    state = spawn_rng(seed, STREAM_RESTART, r).bit_generator.state["state"]
-    return state["state"], state["inc"]
+def _restart_state(seed: int, r: int) -> dict:
+    """PCG64 state dict of restart r's stream, derived once per (seed, r); never mutated."""
+    return spawn_rng(seed, STREAM_RESTART, r).bit_generator.state
 
 
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
@@ -214,10 +213,7 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
         best_labels, best_wcss, _ = _lloyd(z, sq_norms, k, centroids, max_iter, finished)
     rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
     for r in range(int(cfg.n_init)):
-        state, inc = _restart_state(int(cfg.seed), r)
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
+        rng.bit_generator.state = _restart_state(int(cfg.seed), r)
         labels, wcss, _ = _lloyd(z, sq_norms, k, _kmeanspp_init(z, k, rng), max_iter, finished)
         if labels is not None and wcss < best_wcss:
             best_labels, best_wcss = labels, wcss

@@ -9,7 +9,7 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,13 +87,39 @@ def _summarize(records: list[BenchmarkRun]) -> list[BenchmarkSummary]:
     return out
 
 
+def _standard(d, cfg: KMeansConfig) -> Partition:
+    return weighted_kmeans(d, uniform_weights(d), cfg)
+
+
+def _run_benchmark(runs, seed, draw, methods, detail):
+    """The run loop both harnesses share. Run r draws (data, truth) from
+    ``draw(run_seed)``; method i of ``methods``, a (name, fit) pair, fits it
+    with ``fit(data, KMeansConfig(k=truth.k, seed=<seed of run r, method i>))``
+    to a Partition or a SparseClusterResult, scored by CER against the truth.
+    ``detail(r, data, truth, *fits)`` builds a run's detail record; None keeps none.
+    """
+    records, details = [], []
+    for r in range(int(runs)):
+        data, truth = draw(derive_seed(seed, STREAM_RUN, r))
+        fits = [
+            fit(data, KMeansConfig(k=truth.k, seed=derive_seed(seed, STREAM_METHOD, r, i)))
+            for i, (_, fit) in enumerate(methods)
+        ]
+        records += [
+            BenchmarkRun(r, name, cer(truth, f if isinstance(f, Partition) else f.partition))
+            for (name, _), f in zip(methods, fits)
+        ]
+        if detail is not None:
+            details.append(detail(r, data, truth, *fits))
+    return records, _summarize(records), details
+
+
 def run_gaussian_benchmark(
     p: int,
     runs: int = 20,
     seed: int = 0,
     m: int | None = None,
     s: float | None = None,
-    cfg: KMeansConfig | None = None,
     keep_details: bool = False,
 ):
     """Plain vs soft-sparse vs hard-sparse K-means on the Gaussian design.
@@ -102,38 +128,19 @@ def run_gaussian_benchmark(
     but their clusterers are seeded independently. Returns (records,
     summaries, details); details is empty unless requested.
     """
-    template = cfg or KMeansConfig()
     m = default_gaussian_m(p) if m is None else whole_m(m)
     s = GAUSSIAN_DEFAULT_S if s is None else float(s)
-    records: list[BenchmarkRun] = []
-    details: list[GaussianRunDetail] = []
-    for r in range(int(runs)):
-        scenario = MvScenario(p=p, seed=derive_seed(seed, STREAM_RUN, r))
-        data, truth = gen_mv(scenario)
-
-        def method_cfg(idx):
-            return replace(
-                template, k=scenario.k, seed=derive_seed(seed, STREAM_METHOD, r, idx)
-            )
-
-        standard = weighted_kmeans(data, uniform_weights(data), method_cfg(0))
-        soft = soft_sparse_kmeans_mv(data, scenario.k, s, method_cfg(1))
-        hard = sparse_kmeans_mv(data, scenario.k, m, method_cfg(2))
-        records += [
-            BenchmarkRun(r, "standard", cer(truth, standard)),
-            BenchmarkRun(r, "soft-sparse", cer(truth, soft.partition)),
-            BenchmarkRun(r, "hard-sparse", cer(truth, hard.partition)),
-        ]
-        if keep_details:
-            details.append(GaussianRunDetail(r, data, truth, standard, soft, hard))
-    return records, _summarize(records), details
+    return _run_benchmark(runs, seed, lambda run_seed: gen_mv(MvScenario(p=p, seed=run_seed)), [
+        ("standard", _standard),
+        ("soft-sparse", lambda d, cfg: soft_sparse_kmeans_mv(d, cfg.k, s, cfg)),
+        ("hard-sparse", lambda d, cfg: sparse_kmeans_mv(d, cfg.k, m, cfg)),
+    ], GaussianRunDetail if keep_details else None)
 
 
 def run_curve_benchmark(
     runs: int = 10,
     seed: int = 0,
     m: float = CURVE_DEFAULT_M,
-    cfg: KMeansConfig | None = None,
     keep_details: bool = False,
 ):
     """Plain functional K-means vs sparse domain selection on the curve design.
@@ -141,25 +148,10 @@ def run_curve_benchmark(
     Returns (records, summaries, details); details carries per-run
     partitions and converged weight functions for downstream inspection.
     """
-    template = cfg or KMeansConfig()
-    records: list[BenchmarkRun] = []
-    details: list[CurveRunDetail] = []
-    for r in range(int(runs)):
-        scenario = FdScenario(seed=derive_seed(seed, STREAM_RUN, r))
-        data, truth = gen_fd(scenario)
-
-        def method_cfg(idx):
-            return replace(template, k=2, seed=derive_seed(seed, STREAM_METHOD, r, idx))
-
-        standard = weighted_kmeans(data, uniform_weights(data), method_cfg(0))
-        sparse = sparse_kmeans_fd(data, 2, m, method_cfg(1))
-        records += [
-            BenchmarkRun(r, "standard", cer(truth, standard)),
-            BenchmarkRun(r, "sparse", cer(truth, sparse.partition)),
-        ]
-        if keep_details:
-            details.append(CurveRunDetail(r, data, truth, standard, sparse))
-    return records, _summarize(records), details
+    return _run_benchmark(runs, seed, lambda run_seed: gen_fd(FdScenario(seed=run_seed)), [
+        ("standard", _standard),
+        ("sparse", lambda d, cfg: sparse_kmeans_fd(d, cfg.k, m, cfg)),
+    ], CurveRunDetail if keep_details else None)
 
 
 __all__ = [

@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .datatypes import Weights, check_finite
+from .datatypes import Weights, check_finite, whole_m
 from .errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
@@ -25,16 +25,6 @@ from .errors import (
 # Bisection control for the soft-threshold L1 constraint.
 EPS_S = 1e-10
 MAX_BISECT = 200
-
-
-def whole_m(m) -> int:
-    """A feature count m as an int; 10.0 passes, 2.7, nan and inf do not."""
-    try:
-        if float(m).is_integer():
-            return int(m)
-    except (TypeError, ValueError):
-        pass
-    raise SparsityOutOfRange(f"m must be a whole number, got {m}")
 
 
 def hard_threshold_weights(b, m: int) -> Weights:

@@ -17,6 +17,12 @@ from .datatypes import Dataset, Partition
 from .errors import ValidationError
 from .rngutil import STREAM_DATASET, spawn_rng, standard_normal
 
+# The curve design's coefficient laws: a ~ N(3, 0.5^2) and b ~ N(2, 0.25^2)
+# in both classes; c ~ N(0, 0.5^2) in class 1 and N(0.5, 0.5^2) in class 2.
+A_MEAN, A_SD = 3.0, 0.5
+B_MEAN, B_SD = 2.0, 0.25
+C_SD, C_SHIFT = 0.5, 0.5
+
 
 @dataclass(frozen=True)
 class MvScenario:
@@ -31,7 +37,6 @@ class MvScenario:
     q: int = 10
     n_per_class: int = 20
     sigma: float = 0.2
-    k: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -43,30 +48,26 @@ class MvScenario:
             raise ValidationError("n_per_class must be >= 1")
         if self.sigma < 0.0:
             raise ValidationError("sigma must be >= 0")
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
 
 
 def mv_mean_matrix(s: MvScenario) -> np.ndarray:
-    """Class-by-feature mean matrix (k, p) for the Gaussian design."""
+    """Class-by-feature mean matrix (3, p) for the Gaussian design."""
     base = (np.arange(1, s.p + 1, dtype=np.float64)) / s.p
-    mu = np.tile(base, (s.k, 1))
+    mu = np.tile(base, (3, 1))
     shift = 1.5 * s.sigma
-    if s.k >= 2:
-        mu[1, : s.q] += shift
-    if s.k >= 3:
-        mu[2, : s.q] -= shift
+    mu[1, : s.q] += shift
+    mu[2, : s.q] -= shift
     return mu
 
 
 def gen_mv(s: MvScenario) -> tuple[Dataset, Partition]:
     """Draw one dataset from the Gaussian design with its true labels."""
-    labels = np.repeat(np.arange(1, s.k + 1, dtype=np.int64), s.n_per_class)
+    labels = np.repeat(np.arange(1, 4, dtype=np.int64), s.n_per_class)
     mu = mv_mean_matrix(s)
     rng = spawn_rng(s.seed, STREAM_DATASET)
     noise = standard_normal(rng, (labels.size, s.p))
     values = mu[labels - 1] + s.sigma * noise
-    return Dataset(values), Partition(labels, s.k)
+    return Dataset(values), Partition(labels, 3)
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,12 @@ class FdScenario:
     the midpoint the second class mirrors the decay term and couples the
     level shift c with slope, so the class mean difference starts at ~1/2
     and grows toward the right endpoint. c is the only parameter whose law
-    differs between classes (mean 0 vs c_shift). Curves carry no additive
+    differs between classes (mean 0 vs C_SHIFT). Curves carry no additive
     noise; all variation comes from the coefficient draws.
     """
 
     n_grid: int = 200
     n_per_class: int = 100
-    a_mean: float = 3.0
-    a_sd: float = 0.5
-    b_mean: float = 2.0
-    b_sd: float = 0.25
-    c_sd: float = 0.5
-    c_shift: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -96,9 +91,6 @@ class FdScenario:
             raise ValidationError(f"n_grid must be >= 2, got {self.n_grid}")
         if self.n_per_class < 1:
             raise ValidationError("n_per_class must be >= 1")
-        for name in ("a_sd", "b_sd", "c_sd"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
 
 
 def curve_main(x, a, b, c):
@@ -112,7 +104,7 @@ def curve_alt(x, a, b, c):
     the decay term and re-couples c; continuous at the midpoint for any
     (a, b, c)."""
     x = np.asarray(x, dtype=np.float64)
-    left = (b * np.sin(b * np.pi * x) + a) * (a - 4.0 * x) + c
+    left = curve_main(x, a, b, c)
     right = (b * np.sin(b * np.pi * x) + a) * (a - 4.0 * (1.0 - x)) - 2.0 * c * (x - 1.0)
     return np.where(x <= 0.5, left, right)
 
@@ -124,11 +116,11 @@ def gen_fd(s: FdScenario) -> tuple[Dataset, Partition]:
     n = s.n_per_class
     curves = np.empty((2 * n, s.n_grid), dtype=np.float64)
     for cls, (builder, c_mean) in enumerate(
-        [(curve_main, 0.0), (curve_alt, s.c_shift)]
+        [(curve_main, 0.0), (curve_alt, C_SHIFT)]
     ):
-        a = s.a_mean + s.a_sd * standard_normal(rng, n)
-        b = s.b_mean + s.b_sd * standard_normal(rng, n)
-        c = c_mean + s.c_sd * standard_normal(rng, n)
+        a = A_MEAN + A_SD * standard_normal(rng, n)
+        b = B_MEAN + B_SD * standard_normal(rng, n)
+        c = c_mean + C_SD * standard_normal(rng, n)
         for i in range(n):
             curves[cls * n + i] = builder(grid, a[i], b[i], c[i])
     labels = np.repeat(np.array([1, 2], dtype=np.int64), n)

@@ -24,7 +24,7 @@ from sparsekm.datatypes import (
     Weights,
     trapezoid_weights,
 )
-from sparsekm.errors import EmptyData, ValidationError
+from sparsekm.errors import EmptyData, GridMismatch, ValidationError
 from sparsekm.metrics import cer
 from sparsekm.tuning import GapCurve
 
@@ -295,6 +295,22 @@ class TestWriters:
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
         assert float(first[1]) == 0.25
+
+
+class TestGridlessArgument:
+    """The curve writers name themselves and the missing grid."""
+
+    def test_write_fd_csv(self, tmp_path):
+        with pytest.raises(GridMismatch, match="write_fd_csv needs curves on a grid"):
+            write_fd_csv(tmp_path / "fd.csv", Dataset(np.zeros((3, 4))))
+
+    def test_write_weight_function(self, tmp_path):
+        with pytest.raises(GridMismatch, match="write_weight_function needs curves on a grid"):
+            write_weight_function(tmp_path / "wf.csv", Weights(np.array([0.6, 0.8, 0.0]), 1))
+
+    def test_support_intervals(self):
+        with pytest.raises(GridMismatch, match="support_intervals needs curves on a grid"):
+            support_intervals(Weights(np.array([0.6, 0.8, 0.0]), 1))
 
 
 class TestWriteSummary:

@@ -162,6 +162,15 @@ class TestWeightVector:
         with pytest.raises(SparsityOutOfRange):
             Weights(np.array([0.6, 0.8]), 1)
 
+    @pytest.mark.parametrize("m", [1.5, 1.9, float("nan")])
+    def test_m_must_be_whole(self, m):
+        with pytest.raises(SparsityOutOfRange, match="whole number"):
+            Weights(np.array([0.0, 1.0]), m)
+
+    def test_whole_float_m_stored_as_int(self):
+        w = Weights(np.array([0.0, 1.0]), 1.0)
+        assert w.m == 1 and isinstance(w.m, int)
+
 
 class TestWeightFunction:
     """Weights on a grid: a weight curve, m a zero-weight measure."""

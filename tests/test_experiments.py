@@ -99,3 +99,40 @@ class TestCurveBenchmark:
         assert det.run == 0
         assert det.data.n_obs == 200
         assert det.sparse.weights.support_measure() > 0.0
+
+
+class TestPinnedOutputs:
+    """Exact records and objective traces of both harnesses: a change in the
+    per-run or per-method seeding, or in the order of the fits, shows here."""
+
+    def test_gaussian(self):
+        records, _, details = run_gaussian_benchmark(20, runs=2, seed=5, keep_details=True)
+        assert [(r.run, r.method, r.cer) for r in records] == [
+            (0, "standard", 0.0),
+            (0, "soft-sparse", 0.022033898305084745),
+            (0, "hard-sparse", 0.04293785310734463),
+            (1, "standard", 0.022033898305084745),
+            (1, "soft-sparse", 0.022033898305084745),
+            (1, "hard-sparse", 0.13728813559322034),
+        ]
+        assert [d.soft.objective_trace for d in details] == [
+            (23.700008110648543, 23.72763920610929),
+            (23.34941902973844,),
+        ]
+        assert [d.hard.objective_trace for d in details] == [
+            (18.163849074067276, 18.32812342722633),
+            (17.485459699360636, 17.976265705718944),
+        ]
+
+    def test_curves(self):
+        records, _, details = run_curve_benchmark(runs=2, seed=0, keep_details=True)
+        assert [(r.run, r.method, r.cer) for r in records] == [
+            (0, "standard", 0.45105527638190956),
+            (0, "sparse", 0.13944723618090452),
+            (1, "standard", 0.45105527638190956),
+            (1, "sparse", 0.048994974874371856),
+        ]
+        assert [d.sparse.objective_trace for d in details] == [
+            (1011.6989821805877, 1473.0495825874857, 1618.3764948353191),
+            (952.6984604608219, 1536.4808113154766, 1655.0059838890954, 1656.2530465379607),
+        ]

@@ -15,7 +15,7 @@ from sparsekm.synthdata import (
 
 class TestMvMeanMatrix:
     def test_frozen_small_design(self):
-        mu = mv_mean_matrix(MvScenario(p=5, q=2, sigma=0.2, k=3))
+        mu = mv_mean_matrix(MvScenario(p=5, q=2, sigma=0.2))
         expect = np.array(
             [
                 [0.2, 0.4, 0.6, 0.8, 1.0],
@@ -40,7 +40,7 @@ class TestMvScenario:
             MvScenario(p=6)
 
     def test_gen_shapes_and_labels(self):
-        s = MvScenario(p=12, q=4, n_per_class=7, k=3, seed=5)
+        s = MvScenario(p=12, q=4, n_per_class=7, seed=5)
         d, truth = gen_mv(s)
         assert d.values.shape == (21, 12)
         assert truth.labels.tolist() == [1] * 7 + [2] * 7 + [3] * 7
