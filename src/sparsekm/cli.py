@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = subs.add_parser("simulate", help="run a seeded benchmark reproduction")
     simulate.add_argument("which", choices=["gaussian", "curves"])
-    simulate.add_argument("--p", type=int, default=50, help="dimension (gaussian only)")
+    simulate.add_argument("--p", type=int, default=50, help="dimension, >= 10 for the 10 informative features (gaussian only)")
     simulate.add_argument("--runs", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--m", type=float, default=None, help="override the sparsity level")

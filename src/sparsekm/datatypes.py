@@ -214,7 +214,7 @@ class Weights:
     exact number of zero weights. With a grid, ``w`` samples a weight curve
     whose ``quad_weights`` are the grid's masses, and m, a float, is the
     measure of the domain forced to zero weight; the zero set may undershoot
-    m by at most one grid cell. ``support_shrunk`` flags that nonpositive
+    m by at most one grid cell. ``support_shrunk`` flags that zero
     dispersion entries forced more zeros than requested, so m exceeds the
     level the caller asked for.
     """

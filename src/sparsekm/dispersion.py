@@ -6,17 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, check_finite, readonly_array
-from .errors import DimensionMismatch, PartitionMismatch
+from .datatypes import Dataset, Partition, Weights, check_finite, readonly_array
+from .errors import DimensionMismatch, EmptyData, GridMismatch, PartitionMismatch
 
 
 @dataclass(frozen=True)
 class Dispersion:
     """Between-cluster separation per feature or per grid point.
 
-    ``quad_weights`` holds each sample's mass; None means unit masses, as
-    for feature vectors. ``clamped`` records that floating-point
+    The scores ``b`` form a non-empty, finite, non-negative 1-d vector.
+    ``quad_weights`` holds each sample's positive mass; None means unit
+    masses, as for feature vectors. ``clamped`` records that floating-point
     cancellation produced small negative values that were clipped to zero.
+    This is the one input of the weight solvers and of the objective, and
+    the one place their scores and masses are checked.
     """
 
     b: np.ndarray
@@ -25,6 +28,8 @@ class Dispersion:
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
+        if b.ndim != 1 or b.size < 1:
+            raise EmptyData("dispersion must be a non-empty 1-d vector")
         check_finite(b, "dispersion")
         if np.any(b < 0.0):
             idx = int(np.argmax(b < 0.0))
@@ -33,9 +38,11 @@ class Dispersion:
         if self.quad_weights is not None:
             qw = readonly_array(self.quad_weights)
             if qw.shape != b.shape:
-                raise DimensionMismatch(
+                raise GridMismatch(
                     f"{qw.size} quad weights for {b.size} dispersion samples"
                 )
+            if not np.all(qw > 0.0):
+                raise GridMismatch("quad weights must be positive")
             object.__setattr__(self, "quad_weights", qw)
 
 
@@ -88,23 +95,20 @@ def bcss_pointwise(d: Dataset, part: Partition) -> Dispersion:
     return Dispersion(between, d.quad_weights, clamped)
 
 
-def weighted_objective(w, b) -> float:
+def weighted_objective(w: Weights, disp: Dispersion) -> float:
     """Weighted between-cluster dispersion, the alternating loop's objective.
 
     sum_j w_j b_j under unit masses; the quadrature form sum_g q_g w_g b_g
-    when ``b`` carries quadrature masses.
+    when ``disp`` carries quadrature masses.
     """
-    b_arr = np.asarray(getattr(b, "b", b), dtype=np.float64)
-    w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
-    if w_arr.shape != b_arr.shape:
+    if w.w.shape != disp.b.shape:
         raise DimensionMismatch(
-            f"weights length {w_arr.size} does not match dispersion ({b_arr.size})"
+            f"weights length {w.w.size} does not match dispersion ({disp.b.size})"
         )
-    qw = getattr(b, "quad_weights", None)
     # Two formulas on purpose: each path keeps its own summation order.
-    if qw is None:
-        return float(np.dot(w_arr, b_arr))
-    return float(np.sum(qw * w_arr * b_arr))
+    if disp.quad_weights is None:
+        return float(np.dot(w.w, disp.b))
+    return float(np.sum(disp.quad_weights * w.w * disp.b))
 
 
 __all__ = [

@@ -22,6 +22,7 @@ from .engine import (
     uniform_weights,
     weighted_kmeans,
 )
+from .errors import ValidationError
 from .metrics import cer
 from .rngutil import STREAM_METHOD, STREAM_RUN, derive_seed
 from .solvers import whole_m
@@ -98,6 +99,8 @@ def _run_benchmark(runs, seed, draw, methods, detail):
     to a Partition or a SparseClusterResult, scored by CER against the truth.
     ``detail(r, data, truth, *fits)`` builds a run's detail record; None keeps none.
     """
+    if int(runs) < 1:
+        raise ValidationError(f"runs must be >= 1, got {runs}")
     records, details = [], []
     for r in range(int(runs)):
         data, truth = draw(derive_seed(seed, STREAM_RUN, r))
@@ -125,9 +128,15 @@ def run_gaussian_benchmark(
     """Plain vs soft-sparse vs hard-sparse K-means on the Gaussian design.
 
     Every run draws a fresh dataset; the three methods see the same data
-    but their clusterers are seeded independently. Returns (records,
+    but their clusterers are seeded independently. p must cover the
+    design's informative features (``MvScenario.q``, 10). Returns (records,
     summaries, details); details is empty unless requested.
     """
+    if p < MvScenario.q:
+        raise ValidationError(
+            f"p={p} too small: the Gaussian design needs p >= {MvScenario.q}, "
+            "its informative features"
+        )
     m = default_gaussian_m(p) if m is None else whole_m(m)
     s = GAUSSIAN_DEFAULT_S if s is None else float(s)
     return _run_benchmark(runs, seed, lambda run_seed: gen_mv(MvScenario(p=p, seed=run_seed)), [

@@ -3,16 +3,16 @@
 Three ways to turn dispersion scores into unit-norm feature weights: the
 closed-form hard-threshold rule (the method of interest), the bisection
 soft-threshold baseline it is compared against, and the level-set variant
-for weights defined over a continuous domain.
+for weights defined over a continuous domain. Each takes a ``Dispersion``,
+whose construction has already checked the scores and their masses.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .datatypes import Weights, check_finite, whole_m
+from .datatypes import Weights, whole_m
+from .dispersion import Dispersion
 from .errors import (
     AllZeroAfterThreshold,
     DegenerateDispersion,
@@ -27,25 +27,19 @@ EPS_S = 1e-10
 MAX_BISECT = 200
 
 
-def hard_threshold_weights(b, m: int) -> Weights:
+def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
     """Unit-norm weights proportional to b on its p - m largest entries.
 
     This is the exact maximizer of sum_j w_j b_j over nonnegative unit-L2
     weight vectors with at least m zeros: rank b descending (ties broken
     toward the lower index), keep the top p - m, normalize, zero the rest.
-    Nonpositive entries are never retained; if excluding them shrinks the
-    support below p - m, the realized m grows and the result is flagged
-    via ``support_shrunk``.
+    m is a whole number. Zero entries are never retained; if excluding
+    them shrinks the support below p - m, the realized m grows and the
+    result is flagged via ``support_shrunk``.
     """
-    b_arr = np.asarray(getattr(b, "b", b), dtype=np.float64)
-    if b_arr.ndim != 1 or b_arr.size < 1:
-        raise SparsityOutOfRange("dispersion must be a non-empty 1-d vector")
-    check_finite(b_arr, "dispersion")
+    b_arr = disp.b
     p = b_arr.size
-    try:
-        m_int = operator.index(m)
-    except TypeError:
-        raise SparsityOutOfRange(f"m must be an integer, got {m!r}") from None
+    m_int = whole_m(m)
     if not 0 <= m_int < p:
         raise SparsityOutOfRange(f"m={m_int} outside [0, {p})")
     n_pos = int(np.count_nonzero(b_arr > 0.0))
@@ -63,32 +57,28 @@ def hard_threshold_weights(b, m: int) -> Weights:
     return Weights(w, m=p - keep, support_shrunk=keep < target)
 
 
-def soft_threshold_weights(a, s: float) -> Weights:
+def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     """L1-budgeted soft-threshold weights, the comparison baseline.
 
-    Returns S(a_+, delta) / ||S(a_+, delta)||_2 where S shrinks toward zero
-    by delta and clips at zero. delta = 0 when the unconstrained solution
-    already meets ||w||_1 <= s; otherwise delta is found by bisection on
-    [0, max(a_+)) so that ||w||_1 = s within EPS_S. The final iterate is
-    always taken from the feasible (<= s) side of the bracket.
+    With a = disp.b, returns S(a, delta) / ||S(a, delta)||_2 where S shrinks
+    toward zero by delta and clips at zero. delta = 0 when the unconstrained
+    solution already meets ||w||_1 <= s; otherwise delta is found by
+    bisection on [0, max(a)) so that ||w||_1 = s within EPS_S. The final
+    iterate is always taken from the feasible (<= s) side of the bracket.
     """
-    a_arr = np.asarray(getattr(a, "b", a), dtype=np.float64)
-    if a_arr.ndim != 1 or a_arr.size < 1:
-        raise SparsityOutOfRange("scores must be a non-empty 1-d vector")
-    check_finite(a_arr, "score")
-    p = a_arr.size
+    a = disp.b
+    p = a.size
     s = float(s)
     if not 1.0 <= s <= np.sqrt(p):
         raise SOutOfRange(f"s={s} outside [1, sqrt({p})]")
-    a_pos = np.maximum(a_arr, 0.0)
-    if not np.any(a_pos > 0.0):
-        raise AllZeroAfterThreshold("every score is nonpositive")
+    if not np.any(a > 0.0):
+        raise AllZeroAfterThreshold("every score is zero")
     # w is scale-invariant in the scores; solving on a max-normalized copy
     # keeps the squared sums away from under/overflow for extreme scales.
-    a_pos = a_pos / float(np.max(a_pos))
+    a = a / float(np.max(a))
 
     def evaluate(delta):
-        v = np.maximum(a_pos - delta, 0.0)
+        v = np.maximum(a - delta, 0.0)
         norm = float(np.sqrt(np.sum(v * v)))
         l1 = float(np.sum(v)) / norm if norm > 0.0 else np.inf
         return l1, v, norm
@@ -99,7 +89,7 @@ def soft_threshold_weights(a, s: float) -> Weights:
         return Weights(w, m=int(np.count_nonzero(w == 0.0)))
 
     lo = 0.0
-    hi = np.nextafter(float(np.max(a_pos)), 0.0)
+    hi = np.nextafter(float(np.max(a)), 0.0)
     l1_hi, v_hi, n_hi = evaluate(hi)
     if l1_hi > s + EPS_S:
         # Tied maxima put a floor of sqrt(#ties) on the reachable L1 norm.
@@ -120,7 +110,7 @@ def soft_threshold_weights(a, s: float) -> Weights:
     v, norm = feasible
     # The bracket resolves delta only to ~ulp * max(a); coordinates at that
     # noise floor are numerically zero, so snap them before normalizing.
-    tiny = 4.0 * np.finfo(np.float64).eps * float(np.max(a_pos))
+    tiny = 4.0 * np.finfo(np.float64).eps * float(np.max(a))
     snapped = np.where(v <= tiny, 0.0, v)
     if np.any(snapped > 0.0):
         v = snapped
@@ -129,37 +119,17 @@ def soft_threshold_weights(a, s: float) -> Weights:
     return Weights(w, m=int(np.count_nonzero(w == 0.0)))
 
 
-def _function_context(b, quad):
-    """Normalize (dispersion, quadrature) from a Dispersion or bare inputs.
-
-    ``quad`` defaults to the masses the dispersion carries.
-    """
-    if quad is None:
-        quad = getattr(b, "quad_weights", None)
-    b_arr = np.asarray(getattr(b, "b", b), dtype=np.float64)
-    if b_arr.ndim != 1 or b_arr.size < 1:
-        raise GridMismatch("dispersion must be a non-empty 1-d vector")
-    check_finite(b_arr, "dispersion")
-    if quad is None:
-        raise GridMismatch("quad weights required with a bare dispersion vector")
-    qw = np.asarray(quad, dtype=np.float64)
-    if qw.shape != b_arr.shape:
-        raise GridMismatch(
-            f"quad weights length {qw.size} does not match dispersion ({b_arr.size})"
-        )
-    if np.any(qw <= 0.0):
-        raise GridMismatch("quad weights must be positive")
-    return b_arr, qw
-
-
-def functional_threshold_level(b, m: float, quad=None) -> float:
+def functional_threshold_level(disp: Dispersion, m: float) -> float:
     """Smallest level k >= 0 whose superlevel set {b > k} has measure <= mu(D) - m.
 
     Scans the distinct sample values of b in ascending order against the
     cumulative quadrature mass, so plateaus of b (where the level-set
-    measure jumps) resolve to the smallest admissible level.
+    measure jumps) resolve to the smallest admissible level. ``disp`` must
+    carry the quadrature masses of its samples.
     """
-    b_arr, qw = _function_context(b, quad)
+    b_arr, qw = disp.b, disp.quad_weights
+    if qw is None:
+        raise GridMismatch("functional thresholding needs a dispersion with quad weights")
     mu = float(np.sum(qw))
     m = float(m)
     if not 0.0 < m < mu:
@@ -179,20 +149,18 @@ def functional_threshold_level(b, m: float, quad=None) -> float:
     return float(sorted_b[last[hit[0]]])
 
 
-def functional_threshold_weights(b, m: float, grid, quad=None) -> Weights:
+def functional_threshold_weights(disp: Dispersion, m: float, grid) -> Weights:
     """Level-set hard thresholding for weights over a continuous domain.
 
     Zeroes b outside its superlevel set at the level chosen by
     ``functional_threshold_level`` and normalizes the rest to unit
-    quadrature L2 norm. ``grid`` holds the abscissae of the samples of b;
-    ``quad`` defaults to the masses a Dispersion carries and is required
-    with a bare vector.
+    quadrature L2 norm. ``grid`` holds the abscissae of the samples of b.
     """
-    b_arr, qw = _function_context(b, quad)
+    b_arr, qw = disp.b, disp.quad_weights
     g = np.asarray(grid, dtype=np.float64)
     if g.shape != b_arr.shape:
         raise GridMismatch(f"grid length {g.size} does not match dispersion ({b_arr.size})")
-    k = functional_threshold_level(b_arr, m, qw)
+    k = functional_threshold_level(disp, m)
     mask = b_arr > k
     if not np.any(mask):
         raise DegenerateDispersion(

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from sparsekm.datatypes import Dataset, Partition
-from sparsekm.dispersion import bcss_per_feature
+from sparsekm.dispersion import Dispersion, bcss_per_feature
 from sparsekm.engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -51,7 +51,7 @@ def test_1_hard_solver_matches_enumeration():
             b = -b
         m = int(rng.integers(0, p))
 
-        wv = hard_threshold_weights(b, m)
+        wv = hard_threshold_weights(Dispersion(np.maximum(b, 0.0)), m)
         got = frozenset(np.nonzero(wv.w > 0.0)[0].tolist())
 
         pos = [i for i in range(p) if b[i] > 0.0]
@@ -90,7 +90,7 @@ def test_2_soft_solver_constraints():
             a = -a
         s = 1.0 + float(rng.uniform(0.001, 0.999)) * (math.sqrt(p) - 1.0)
 
-        wv = soft_threshold_weights(a, s)
+        wv = soft_threshold_weights(Dispersion(np.maximum(a, 0.0)), s)
         l2 = float(np.linalg.norm(wv.w))
         l1 = float(wv.w.sum())
         worst_norm = max(worst_norm, abs(l2 - 1.0))

@@ -288,6 +288,21 @@ class TestSimulate:
             assert code == 2
             assert f"got {m}" in capsys.readouterr().err
 
+    def test_runs_below_one_exits_2(self, tmp_path, capsys):
+        for which, runs in (("gaussian", "0"), ("curves", "-1")):
+            code = run_cli("simulate", which, "--runs", runs, "--out", tmp_path / "o")
+            assert code == 2
+            assert f"runs must be >= 1, got {runs}" in capsys.readouterr().err
+
+    def test_gaussian_p_below_informative_features_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "gaussian", "--p", "5", "--runs", "1", "--out", tmp_path / "o",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "p=5" in err and "p >= 10" in err
+        assert "q=" not in err
+
     def test_curves_single_run_sd_flag(self, tmp_path):
         out_na = tmp_path / "na"
         code = run_cli("simulate", "curves", "--runs", "1", "--out", out_na)

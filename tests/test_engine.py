@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekm import engine
-from sparsekm.datatypes import Dataset, Partition
+from sparsekm.datatypes import Dataset, Partition, objective_slack
 from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
@@ -574,3 +574,38 @@ class TestKindOfData:
         d, _ = three_clouds(seed=1)
         with pytest.raises(GridMismatch, match="sparse_kmeans_fd needs curves on a grid"):
             sparse_kmeans_fd(d, 3, 0.5)
+
+
+class TestDuplicateRows:
+    """Rows repeated 1-3 times give k non-empty clusters with a
+    non-decreasing trace, or raise TooFewDistinctRows; nothing else."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        reps=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+        k=st.integers(2, 4),
+        p=st.integers(5, 8),
+        m_frac=st.floats(0.0, 1.0),
+    )
+    def test_vectors_and_curves(self, seed, reps, k, p, m_frac):
+        rng = np.random.default_rng(seed)
+        rows = np.repeat(rng.normal(size=(len(reps), p)), reps, axis=0)
+        values = rows[rng.permutation(rows.shape[0])]
+        k = min(k, values.shape[0])
+        cfg = KMeansConfig(n_init=3, seed=seed)
+        m = int(m_frac * (p - 1))
+        self._assert_valid(lambda: sparse_kmeans_mv(Dataset(values), k, m, cfg), k)
+        # a zero measure of 0.3 leaves more budget than any one grid cell's mass
+        grid = np.linspace(0.0, 1.0, p)
+        self._assert_valid(lambda: sparse_kmeans_fd(Dataset(values, grid=grid), k, 0.3, cfg), k)
+
+    @staticmethod
+    def _assert_valid(fit, k):
+        try:
+            res = fit()
+        except TooFewDistinctRows:
+            return
+        assert res.partition.k == k
+        assert np.all(np.bincount(res.partition.labels, minlength=k + 1)[1:] > 0)
+        trace = res.objective_trace
+        assert all(b >= a - objective_slack(a) for a, b in zip(trace, trace[1:]))
