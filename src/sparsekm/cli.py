@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
+from .datatypes import whole_m
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -30,7 +31,6 @@ from .experiments import (
     run_gaussian_benchmark,
 )
 from .metrics import cer
-from .solvers import whole_m
 from .tuning import tune_m_fd, tune_m_mv
 
 
@@ -164,7 +164,6 @@ def _write_benchmark_outputs(out: Path, records, summaries, sd_zero: bool) -> No
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
     if args.which == "gaussian":
         runs = args.runs if args.runs is not None else 20
         m_used = default_gaussian_m(args.p) if args.m is None else whole_m(args.m)
@@ -178,9 +177,6 @@ def cmd_simulate(args) -> int:
             keep_details=args.dump_data,
         )
         meta = {"p": args.p, "m": m_used, "s": s_used}
-        if args.dump_data:
-            for det in details:
-                dataio.write_mv_csv(out / f"data_run{det.run:02d}.csv", det.data, det.truth)
     else:
         runs = args.runs if args.runs is not None else 10
         m_used = CURVE_DEFAULT_M if args.m is None else float(args.m)
@@ -188,10 +184,13 @@ def cmd_simulate(args) -> int:
             runs=runs, seed=args.seed, m=m_used, keep_details=args.dump_data
         )
         meta = {"m": m_used}
-        if args.dump_data:
-            for det in details:
-                dataio.write_fd_csv(out / f"curves_run{det.run:02d}.csv", det.data)
-                dataio.write_labels(out / f"truth_run{det.run:02d}.csv", det.truth)
+    out = _outdir(args)  # only once the run has validated its inputs and returned
+    for det in details:
+        if args.which == "gaussian":
+            dataio.write_mv_csv(out / f"data_run{det.run:02d}.csv", det.data, det.truth)
+        else:
+            dataio.write_fd_csv(out / f"curves_run{det.run:02d}.csv", det.data)
+            dataio.write_labels(out / f"truth_run{det.run:02d}.csv", det.truth)
     _write_benchmark_outputs(out, records, summaries, args.sd_zero)
     return _finish(out, {
         "command": "simulate",
@@ -246,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--m-grid", default=None, help="comma-separated candidate levels")
     tune.add_argument("--b-perms", type=int, default=20)
     tune.add_argument("--n-subdomains", type=int, default=20)
-    tune.add_argument("--one-sd-rule", action="store_true")
+    tune.add_argument("--one-sd-rule", action="store_true",
+                      help="take the largest m whose gap is within one sd of the best")
     tune.add_argument("--out", default=".")
     _add_engine_args(tune)
     tune.set_defaults(func=cmd_tune)

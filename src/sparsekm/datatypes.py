@@ -55,6 +55,22 @@ def whole_m(m) -> int:
     raise SparsityOutOfRange(f"m must be a whole number, got {m}")
 
 
+def count_m(m, p: int) -> int:
+    """A count of zeroed features among p: a whole number in [0, p)."""
+    m = whole_m(m)
+    if not 0 <= m < p:
+        raise SparsityOutOfRange(f"m={m} outside [0, {p})")
+    return m
+
+
+def measure_m(m, measure: float) -> float:
+    """A zeroed domain measure: a float in (0, measure)."""
+    m = float(m)
+    if not 0.0 < m < measure:
+        raise SparsityOutOfRange(f"m={m} outside (0, {measure})")
+    return m
+
+
 def _integral_labels(values, where: str = "labels") -> np.ndarray:
     """``values`` as int64 labels. NaN, ±inf, fractional and out-of-int64 entries raise
     before any cast can warn, naming ``where`` and the first bad row, counted from 1."""
@@ -86,26 +102,18 @@ class Dataset:
     quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        grid = self.grid
-        if grid is not None:
-            grid = np.asarray(grid, dtype=np.float64)
-            if grid.ndim != 1 or grid.size < 2:
-                raise EmptyData("grid needs at least 2 points")
-            check_finite(grid, "grid point")
-            diffs = np.diff(grid)
-            if np.any(diffs <= 0.0):
-                idx = int(np.argmax(diffs <= 0.0)) + 1
-                raise NonMonotoneGrid(f"grid not strictly increasing at index {idx}")
-            object.__setattr__(self, "grid", readonly_array(grid))
-            object.__setattr__(self, "quad_weights", readonly_array(trapezoid_weights(grid)))
+        if self.grid is not None:
+            grid, qw = checked_grid(self.grid)
+            object.__setattr__(self, "grid", grid)
+            object.__setattr__(self, "quad_weights", qw)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise EmptyData(f"expected a 2-d matrix, got ndim={values.ndim}")
         n, p = values.shape
         if n < 2:
             raise EmptyData(f"need at least 2 observations, got {n}")
-        if grid is not None and p != grid.size:
-            raise GridMismatch(f"curves sampled at {p} points, grid has {grid.size}")
+        if self.grid is not None and p != self.grid.size:
+            raise GridMismatch(f"curves sampled at {p} points, grid has {self.grid.size}")
         if p < 1:
             raise EmptyData("need at least 1 feature")
         check_finite(values)
@@ -131,6 +139,25 @@ class Dataset:
         return float(self.n_features) if self.grid is None else float(self.grid[-1] - self.grid[0])
 
 
+def checked_grid(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of a grid and of its trapezoid masses. The one grid check: at
+    least 2 finite, strictly increasing points, a finite span, no mass rounded to 0."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size < 2:
+        raise EmptyData("grid needs at least 2 points")
+    check_finite(grid, "grid point")
+    with np.errstate(over="ignore"):  # a span past float64 is rejected below
+        diffs, span, qw = np.diff(grid), grid[-1] - grid[0], trapezoid_weights(grid)
+    if np.any(diffs <= 0.0):
+        idx = int(np.argmax(diffs <= 0.0)) + 1
+        raise NonMonotoneGrid(f"grid not strictly increasing at index {idx}")
+    if not (np.isfinite(span) and np.all(qw > 0.0)):
+        raise GridMismatch(
+            f"grid masses must be positive with a finite sum: span {span}, least mass {qw.min()}"
+        )
+    return readonly_array(grid), readonly_array(qw)
+
+
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     """Trapezoidal quadrature masses for a strictly increasing grid.
 
@@ -140,8 +167,7 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     qw = np.empty(grid.size, dtype=np.float64)
     qw[0] = (grid[1] - grid[0]) / 2.0
     qw[-1] = (grid[-1] - grid[-2]) / 2.0
-    if grid.size > 2:
-        qw[1:-1] = (grid[2:] - grid[:-2]) / 2.0
+    qw[1:-1] = (grid[2:] - grid[:-2]) / 2.0  # empty for 2 points
     return qw
 
 
@@ -211,8 +237,8 @@ class Weights:
     """Nonnegative weights with unit (quadrature) L2 norm.
 
     Without a grid, ``w`` holds one weight per feature and m, an int, is the
-    exact number of zero weights. With a grid, ``w`` samples a weight curve
-    whose ``quad_weights`` are the grid's masses, and m, a float, is the
+    exact number of zero weights. With a grid, ``w`` samples a weight curve,
+    ``quad_weights`` holds the grid's trapezoid masses, and m, a float, is the
     measure of the domain forced to zero weight; the zero set may undershoot
     m by at most one grid cell. ``support_shrunk`` flags that zero
     dispersion entries forced more zeros than requested, so m exceeds the
@@ -222,25 +248,18 @@ class Weights:
     w: np.ndarray
     m: int | float
     grid: np.ndarray | None = None
-    quad_weights: np.ndarray | None = None
     support_shrunk: bool = False
+    quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise EmptyData("weights must be a non-empty 1-d vector")
-        if (self.grid is None) != (self.quad_weights is None):
-            raise GridMismatch("grid and quad_weights must be given together")
         qw = None
         if self.grid is not None:
-            grid = np.asarray(self.grid, dtype=np.float64)
-            qw = np.asarray(self.quad_weights, dtype=np.float64)
-            if grid.ndim != 1 or grid.size < 2:
-                raise EmptyData("grid needs at least 2 points")
-            if w.shape != grid.shape or qw.shape != grid.shape:
-                raise GridMismatch(
-                    f"lengths differ: grid {grid.size}, w {w.size}, quad {qw.size}"
-                )
+            grid, qw = checked_grid(self.grid)
+            if w.shape != grid.shape:
+                raise GridMismatch(f"{w.size} weights for a grid of {grid.size} points")
         check_finite(w, "weight")
         if np.any(w < 0.0):
             idx = int(np.argmax(w < 0.0))
@@ -249,17 +268,12 @@ class Weights:
         if norm > 1.0 + EPS_NORM:
             raise SparsityOutOfRange(f"weight L2 norm {norm} exceeds 1")
         if qw is None:
-            m = whole_m(self.m)
+            m = count_m(self.m, w.size)
             n_zero = int(np.count_nonzero(w == 0.0))
             if n_zero != m:
                 raise SparsityOutOfRange(f"m={m} but {n_zero} weights are zero")
-            if not 0 <= m < w.size:
-                raise SparsityOutOfRange(f"m={m} outside [0, {w.size})")
         else:
-            measure = float(np.sum(qw))
-            m = float(self.m)
-            if not 0.0 < m < measure:
-                raise SparsityOutOfRange(f"m={m} outside (0, {measure})")
+            m = measure_m(self.m, float(np.sum(qw)))
             zero_measure = float(np.sum(qw[w == 0.0]))
             cell = float(np.max(np.diff(grid)))
             if zero_measure < m - cell:
@@ -267,8 +281,8 @@ class Weights:
                     f"zero-weight measure {zero_measure} undershoots m={m} "
                     f"by more than one grid cell ({cell})"
                 )
-            object.__setattr__(self, "grid", readonly_array(grid))
-            object.__setattr__(self, "quad_weights", readonly_array(qw))
+            object.__setattr__(self, "grid", grid)
+            object.__setattr__(self, "quad_weights", qw)
         object.__setattr__(self, "w", readonly_array(w))
         object.__setattr__(self, "m", m)
 

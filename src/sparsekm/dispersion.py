@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, Weights, check_finite, readonly_array
+from .datatypes import Dataset, Partition, Weights, check_finite, checked_grid, readonly_array
 from .errors import DimensionMismatch, EmptyData, GridMismatch, PartitionMismatch
 
 
@@ -15,16 +15,17 @@ class Dispersion:
     """Between-cluster separation per feature or per grid point.
 
     The scores ``b`` form a non-empty, finite, non-negative 1-d vector.
-    ``quad_weights`` holds each sample's positive mass; None means unit
-    masses, as for feature vectors. ``clamped`` records that floating-point
-    cancellation produced small negative values that were clipped to zero.
-    This is the one input of the weight solvers and of the objective, and
-    the one place their scores and masses are checked.
+    ``grid``, when given, holds the abscissae of b, and ``quad_weights`` its
+    trapezoid masses; without a grid each sample has unit mass, as for feature
+    vectors. ``clamped`` records that cancellation produced small negative
+    values that were clipped to zero. This is the one input of the weight
+    solvers and of the objective, and the one place their scores are checked.
     """
 
     b: np.ndarray
-    quad_weights: np.ndarray | None = None
+    grid: np.ndarray | None = None
     clamped: bool = False
+    quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
@@ -35,14 +36,11 @@ class Dispersion:
             idx = int(np.argmax(b < 0.0))
             raise PartitionMismatch(f"negative dispersion at index {idx}")
         object.__setattr__(self, "b", readonly_array(b))
-        if self.quad_weights is not None:
-            qw = readonly_array(self.quad_weights)
-            if qw.shape != b.shape:
-                raise GridMismatch(
-                    f"{qw.size} quad weights for {b.size} dispersion samples"
-                )
-            if not np.all(qw > 0.0):
-                raise GridMismatch("quad weights must be positive")
+        if self.grid is not None:
+            grid, qw = checked_grid(self.grid)
+            if grid.shape != b.shape:
+                raise GridMismatch(f"{b.size} dispersion samples for a grid of {grid.size} points")
+            object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "quad_weights", qw)
 
 
@@ -92,14 +90,14 @@ def bcss_pointwise(d: Dataset, part: Partition) -> Dispersion:
     cancellation are clipped to zero and flagged.
     """
     between, clamped = _between(d, part)
-    return Dispersion(between, d.quad_weights, clamped)
+    return Dispersion(between, grid=d.grid, clamped=clamped)
 
 
 def weighted_objective(w: Weights, disp: Dispersion) -> float:
     """Weighted between-cluster dispersion, the alternating loop's objective.
 
     sum_j w_j b_j under unit masses; the quadrature form sum_g q_g w_g b_g
-    when ``disp`` carries quadrature masses.
+    when ``disp`` carries a grid.
     """
     if w.w.shape != disp.b.shape:
         raise DimensionMismatch(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, require_grid
+from .datatypes import Dataset, Partition, SparseClusterResult, count_m, measure_m, require_grid
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -34,7 +34,6 @@ from .solvers import (
     functional_threshold_weights,
     hard_threshold_weights,
     soft_threshold_weights,
-    whole_m,
 )
 
 
@@ -300,7 +299,7 @@ def sparse_kmeans_mv(
     """
     require_grid(d, False, "sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
-    m = whole_m(m)
+    m = count_m(m, d.n_features)
     return _alternate(
         d,
         k,
@@ -335,11 +334,12 @@ def sparse_kmeans_fd(
     """
     require_grid(d, True, "sparse_kmeans_fd")
     cfg = cfg or KMeansConfig()
+    m = measure_m(m, float(np.sum(d.quad_weights)))
     return _alternate(
         d,
         k,
         cfg,
-        solve=lambda disp: functional_threshold_weights(disp, m, grid=d.grid),
+        solve=lambda disp: functional_threshold_weights(disp, m),
         dispersion=bcss_pointwise,
         start=start,
     )

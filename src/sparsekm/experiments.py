@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult
+from .datatypes import Dataset, Partition, SparseClusterResult, whole_m
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -25,7 +25,6 @@ from .engine import (
 from .errors import ValidationError
 from .metrics import cer
 from .rngutil import STREAM_METHOD, STREAM_RUN, derive_seed
-from .solvers import whole_m
 from .synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 # Zeroed-feature defaults for the Gaussian benchmark, per dimension; keys
@@ -99,7 +98,9 @@ def _run_benchmark(runs, seed, draw, methods, detail):
     to a Partition or a SparseClusterResult, scored by CER against the truth.
     ``detail(r, data, truth, *fits)`` builds a run's detail record; None keeps none.
     """
-    if int(runs) < 1:
+    if not float(runs).is_integer():
+        raise ValidationError(f"runs must be a whole number, got {runs}")
+    if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     records, details = [], []
     for r in range(int(runs)):

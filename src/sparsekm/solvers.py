@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datatypes import Weights, whole_m
+from .datatypes import Weights, count_m, measure_m
 from .dispersion import Dispersion
 from .errors import (
     AllZeroAfterThreshold,
@@ -19,7 +19,6 @@ from .errors import (
     GridMismatch,
     NonPositiveDispersion,
     SOutOfRange,
-    SparsityOutOfRange,
 )
 
 # Bisection control for the soft-threshold L1 constraint.
@@ -39,9 +38,7 @@ def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
     """
     b_arr = disp.b
     p = b_arr.size
-    m_int = whole_m(m)
-    if not 0 <= m_int < p:
-        raise SparsityOutOfRange(f"m={m_int} outside [0, {p})")
+    m_int = count_m(m, p)
     n_pos = int(np.count_nonzero(b_arr > 0.0))
     if n_pos == 0:
         raise NonPositiveDispersion("no positive dispersion entry to retain")
@@ -125,16 +122,13 @@ def functional_threshold_level(disp: Dispersion, m: float) -> float:
     Scans the distinct sample values of b in ascending order against the
     cumulative quadrature mass, so plateaus of b (where the level-set
     measure jumps) resolve to the smallest admissible level. ``disp`` must
-    carry the quadrature masses of its samples.
+    carry a grid.
     """
     b_arr, qw = disp.b, disp.quad_weights
     if qw is None:
-        raise GridMismatch("functional thresholding needs a dispersion with quad weights")
+        raise GridMismatch("functional thresholding needs a dispersion on a grid")
     mu = float(np.sum(qw))
-    m = float(m)
-    if not 0.0 < m < mu:
-        raise SparsityOutOfRange(f"m={m} outside (0, {mu})")
-    budget = mu - m
+    budget = mu - measure_m(m, mu)
     if float(np.sum(qw[b_arr > 0.0])) <= budget:
         return 0.0
     order = np.argsort(b_arr, kind="stable")
@@ -149,17 +143,14 @@ def functional_threshold_level(disp: Dispersion, m: float) -> float:
     return float(sorted_b[last[hit[0]]])
 
 
-def functional_threshold_weights(disp: Dispersion, m: float, grid) -> Weights:
+def functional_threshold_weights(disp: Dispersion, m: float) -> Weights:
     """Level-set hard thresholding for weights over a continuous domain.
 
     Zeroes b outside its superlevel set at the level chosen by
     ``functional_threshold_level`` and normalizes the rest to unit
-    quadrature L2 norm. ``grid`` holds the abscissae of the samples of b.
+    quadrature L2 norm. The weights share the grid of ``disp``.
     """
     b_arr, qw = disp.b, disp.quad_weights
-    g = np.asarray(grid, dtype=np.float64)
-    if g.shape != b_arr.shape:
-        raise GridMismatch(f"grid length {g.size} does not match dispersion ({b_arr.size})")
     k = functional_threshold_level(disp, m)
     mask = b_arr > k
     if not np.any(mask):
@@ -173,11 +164,10 @@ def functional_threshold_weights(disp: Dispersion, m: float, grid) -> Weights:
     if norm2 <= 0.0:
         raise DegenerateDispersion("retained support carries zero dispersion mass")
     w = np.where(mask, u, 0.0) / np.sqrt(norm2)
-    return Weights(w, m=float(m), grid=g, quad_weights=qw)
+    return Weights(w, m=float(m), grid=disp.grid)
 
 
 __all__ = [
-    "whole_m",
     "hard_threshold_weights",
     "soft_threshold_weights",
     "functional_threshold_level",

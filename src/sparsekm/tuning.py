@@ -4,7 +4,9 @@ The observed weighted dispersion objective at each candidate sparsity is
 compared, on a log scale, against the same statistic on reference datasets
 whose structure has been destroyed by permutation. The candidate with the
 largest excess (gap) wins; ties go to the sparser model (smaller retained
-support never loses a tie to a larger one with equal evidence).
+support never loses a tie to a larger one with equal evidence). Under the
+one-sd rule the largest m whose gap is at least the best gap minus its
+reference sd wins instead: the sparsest model the evidence cannot reject.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, readonly_array, require_grid
+from .datatypes import Dataset, count_m, measure_m, readonly_array, require_grid
 from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv, uniform_weights, weighted_kmeans
 from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, ValidationError
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
-from .solvers import whole_m
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
         raise DegenerateObjective(
             "every candidate produced a nonpositive or undefined objective"
         )
-    valid = np.nonzero(~excluded)[0]
-    best = valid[int(np.argmax(gap[valid]))]  # argmax keeps the first (smaller m) on ties
+    valid = np.nonzero(~excluded)[0][::-1]  # larger m first: exact ties go to the sparser model
+    best = valid[int(np.argmax(gap[valid]))]
     if one_sd_rule:
         best = _apply_one_sd_rule(best, gap, perm_sd, excluded)
     curve = GapCurve(
@@ -185,9 +186,9 @@ def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
 
 
 def _apply_one_sd_rule(best, gap, perm_sd, excluded):
-    """Smallest candidate whose gap reaches the winner's gap minus one sd."""
+    """Largest m (the sparsest model) whose gap reaches the winner's gap minus one sd."""
     floor = gap[best] - perm_sd[best]
-    for i in range(len(gap)):
+    for i in reversed(range(len(gap))):
         if not excluded[i] and gap[i] >= floor:
             return i
     return best
@@ -206,11 +207,7 @@ def tune_m_mv(
     Reference datasets shuffle every feature column independently.
     """
     require_grid(d, False, "tune_m_mv")
-    candidates = sorted({whole_m(m) for m in np.asarray(m_grid).ravel()})
-    p = d.n_features
-    for m in candidates:
-        if not 0 <= m < p:
-            raise SparsityOutOfRange(f"candidate m={m} outside [0, {p})")
+    candidates = sorted({count_m(m, d.n_features) for m in np.asarray(m_grid).ravel()})
     return _gap_scan(
         d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_mv,
         lambda rng: Dataset(permute_feature_columns(d.values, rng)),
@@ -232,11 +229,8 @@ def tune_m_fd(
     equal-measure subdomain blocks.
     """
     require_grid(d, True, "tune_m_fd")
-    candidates = sorted({float(m) for m in np.asarray(m_grid).ravel()})
     mu = float(np.sum(d.quad_weights))
-    for m in candidates:
-        if not 0.0 < m < mu:
-            raise SparsityOutOfRange(f"candidate m={m} outside (0, {mu})")
+    candidates = sorted({measure_m(m, mu) for m in np.asarray(m_grid).ravel()})
     return _gap_scan(
         d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_fd,
         lambda rng: Dataset(

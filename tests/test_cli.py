@@ -294,6 +294,11 @@ class TestSimulate:
             assert code == 2
             assert f"runs must be >= 1, got {runs}" in capsys.readouterr().err
 
+    def test_usage_error_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "new"
+        assert run_cli("simulate", "gaussian", "--runs", "0", "--out", out) == 2
+        assert not out.exists()
+
     def test_gaussian_p_below_informative_features_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "simulate", "gaussian", "--p", "5", "--runs", "1", "--out", tmp_path / "o",

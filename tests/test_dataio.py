@@ -240,13 +240,13 @@ class TestSupportIntervals:
         qw = trapezoid_weights(grid)
         mask = np.array([False, True, True, False, True, False])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = Weights(np.where(mask, c, 0.0), 0.3, grid=grid, quad_weights=qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.3, grid=grid)
         assert support_intervals(wf) == [(0.2, 0.4), (0.8, 0.8)]
 
     def test_full_support_single_interval(self):
         grid = np.linspace(0.0, 1.0, 6)
         qw = trapezoid_weights(grid)
-        wf = Weights(np.ones(6), 0.1, grid=grid, quad_weights=qw)
+        wf = Weights(np.ones(6), 0.1, grid=grid)
         assert support_intervals(wf) == [(0.0, 1.0)]
 
     def test_support_reaching_right_edge(self):
@@ -254,7 +254,7 @@ class TestSupportIntervals:
         qw = trapezoid_weights(grid)
         mask = np.array([False, False, False, True, True, True])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = Weights(np.where(mask, c, 0.0), 0.35, grid=grid, quad_weights=qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.35, grid=grid)
         assert support_intervals(wf) == [(float(grid[3]), 1.0)]
 
 
@@ -270,7 +270,7 @@ class TestWriters:
         qw = trapezoid_weights(grid)
         mask = np.array([False, True, True, True, False])
         c = 1.0 / np.sqrt(float(qw[mask].sum()))
-        wf = Weights(np.where(mask, c, 0.0), 0.25, grid=grid, quad_weights=qw)
+        wf = Weights(np.where(mask, c, 0.0), 0.25, grid=grid)
         path = tmp_path / "wf.csv"
         write_weight_function(path, wf)
         table = np.loadtxt(path, delimiter=",", skiprows=1)

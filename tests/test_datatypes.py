@@ -63,6 +63,17 @@ class TestDataset:
         assert np.allclose(fd.quad_weights, [0.5, 1.0, 0.5])
         assert fd.domain_measure == pytest.approx(2.0)
 
+    def test_rejects_grid_with_zero_mass(self):
+        # strictly increasing, but the first trapezoid mass underflows to 0
+        with pytest.raises(ValidationError, match="least mass 0.0"):
+            Dataset(np.zeros((2, 4)), grid=[0.0, 5e-324, 1e-323, 1.0])
+
+    def test_rejects_grid_whose_span_overflows(self):
+        # the first grid has an infinite mass; the second only an infinite sum
+        for grid in ([-1e308, 0.0, 1e308], [-1e308, -5e307, 0.0, 5e307, 1e308]):
+            with pytest.raises(ValidationError, match="span inf"):
+                Dataset(np.zeros((2, len(grid))), grid=grid)
+
     def test_non_monotone_grid_names_index(self):
         with pytest.raises(NonMonotoneGrid, match="2"):
             Dataset(np.zeros((2, 3)), grid=np.array([0.0, 1.0, 1.0]))
@@ -180,7 +191,7 @@ class TestWeightFunction:
         qw = trapezoid_weights(grid)
         raw = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         w = raw / np.sqrt(np.sum(qw * raw**2))
-        wf = Weights(w, 0.375, grid=grid, quad_weights=qw)
+        wf = Weights(w, 0.375, grid=grid)
         assert np.array_equal(wf.support, np.flatnonzero(raw > 0))
         assert wf.support_measure() == pytest.approx(qw[2:].sum())
 
@@ -188,7 +199,7 @@ class TestWeightFunction:
         grid = np.linspace(0.0, 1.0, 5)
         qw = trapezoid_weights(grid)
         with pytest.raises(ValidationError):
-            Weights(np.full(5, 10.0), 0.25, grid=grid, quad_weights=qw)
+            Weights(np.full(5, 10.0), 0.25, grid=grid)
 
     def test_zero_measure_must_cover_m(self):
         grid = np.linspace(0.0, 1.0, 5)
@@ -197,16 +208,23 @@ class TestWeightFunction:
         w = raw / np.sqrt(np.sum(qw * raw**2))
         # zero measure is 0.125; asking for m=0.8 is inconsistent
         with pytest.raises(SparsityOutOfRange):
-            Weights(w, 0.8, grid=grid, quad_weights=qw)
+            Weights(w, 0.8, grid=grid)
 
     def test_grid_and_quad_weights_go_together(self):
         grid = np.linspace(0.0, 1.0, 5)
+        wf = Weights(np.full(5, 0.5), 0.25, grid=grid)
+        assert np.array_equal(wf.quad_weights, trapezoid_weights(grid))
+        assert not wf.quad_weights.flags.writeable
+        assert Weights(np.full(4, 0.5), 0).quad_weights is None
         with pytest.raises(GridMismatch):
-            Weights(np.full(5, 0.5), 0.25, grid=grid)
-        with pytest.raises(GridMismatch):
-            Weights(np.full(5, 0.5), 0, quad_weights=trapezoid_weights(grid))
-        with pytest.raises(GridMismatch):
-            Weights(np.full(4, 0.5), 0.25, grid=grid, quad_weights=trapezoid_weights(grid))
+            Weights(np.full(4, 0.5), 0.25, grid=grid)
+
+    def test_rejects_nan_or_non_increasing_grid(self):
+        w = np.full(3, 0.5)
+        with pytest.raises(NonFinite):
+            Weights(w, 0.25, grid=np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(NonMonotoneGrid, match="2"):
+            Weights(w, 0.25, grid=np.array([0.0, 1.0, 0.5]))
 
 
 class TestSparseClusterResult:

@@ -120,11 +120,12 @@ class TestBcssPointwise:
         part = Partition(np.array([1, 1, 2, 2]), 2)
         disp = bcss_pointwise(fd, part)
         assert np.array_equal(disp.quad_weights, fd.quad_weights)
+        assert np.array_equal(disp.grid, fd.grid)
 
     def test_rejects_negative_samples(self):
         grid = np.array([0.0, 1.0])
         with pytest.raises(ValidationError):
-            Dispersion(np.array([1.0, -0.5]), trapezoid_weights(grid), False)
+            Dispersion(np.array([1.0, -0.5]), grid=grid)
 
 
 class TestWeightedDistanceAndObjective:
@@ -137,10 +138,10 @@ class TestWeightedDistanceAndObjective:
         grid = np.linspace(0.0, 1.0, 5)
         qw = trapezoid_weights(grid)
         b = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        disp = Dispersion(b, qw, False)
+        disp = Dispersion(b, grid=grid)
         raw = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         wnorm = raw / np.sqrt(np.sum(qw * raw**2))
-        wf = Weights(wnorm, 0.375, grid=grid, quad_weights=qw)
+        wf = Weights(wnorm, 0.375, grid=grid)
         assert weighted_objective(wf, disp) == pytest.approx(float(np.sum(qw * wnorm * b)))
 
 

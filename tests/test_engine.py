@@ -28,6 +28,7 @@ from sparsekm.errors import (
     NonFiniteDistances,
     NumericalError,
     PartitionMismatch,
+    SparsityOutOfRange,
     TooFewDistinctRows,
     ValidationError,
 )
@@ -237,6 +238,22 @@ class TestSoftSparseKmeansMv:
         assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
+class TestSparsityRange:
+    def test_out_of_range_m_raises_before_any_kmeans_run(self, monkeypatch):
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("K-means ran before m was checked")
+
+        monkeypatch.setattr(engine, "weighted_kmeans", no_kmeans)
+        d, _ = three_clouds(seed=11)
+        for m in (-1, d.n_features, 1.5):
+            with pytest.raises(SparsityOutOfRange):
+                sparse_kmeans_mv(d, 3, m)
+        fd, _ = two_curve_clusters(seed=4)
+        for m in (0.0, fd.domain_measure, float("nan")):
+            with pytest.raises(SparsityOutOfRange):
+                sparse_kmeans_fd(fd, 2, m)
+
+
 def two_curve_clusters(seed=0, n_per=15, n_grid=30):
     """Curves separated only on the right half of the domain."""
     rng = np.random.default_rng(seed)
@@ -257,6 +274,12 @@ class TestSparseKmeansFd:
         # all the separation lives on the right half
         left_mass = float(np.sum(wf.quad_weights[fd.grid <= 0.5] * wf.w[fd.grid <= 0.5] ** 2))
         assert left_mass < 0.05
+
+    def test_weights_carry_the_dataset_masses(self):
+        fd, _ = two_curve_clusters(seed=5)
+        wf = sparse_kmeans_fd(fd, 2, 0.5, KMeansConfig(k=2, seed=0)).weights
+        assert np.array_equal(wf.quad_weights, fd.quad_weights)
+        assert np.array_equal(wf.grid, fd.grid)
 
     def test_mirrored_separation_flips_support(self):
         fd, truth = two_curve_clusters(seed=1)

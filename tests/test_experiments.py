@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsekm.errors import ValidationError
 from sparsekm.experiments import (
     BenchmarkRun,
     GAUSSIAN_DEFAULT_S,
@@ -61,6 +62,11 @@ class TestGaussianBenchmark:
             vals = [r.cer for r in records if r.method == method]
             assert s.mean_cer == pytest.approx(np.mean(vals), abs=1e-15)
             assert s.n_runs == 3
+
+    def test_fractional_runs_rejected(self):
+        for runs in (1.9, float("nan")):
+            with pytest.raises(ValidationError, match=f"whole number, got {runs}"):
+                run_gaussian_benchmark(20, runs=runs)
 
     def test_deterministic_per_seed(self):
         a = run_gaussian_benchmark(20, runs=2, seed=5)[0]

@@ -133,10 +133,9 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("scale", [1e-180, 1e-12, 1.0, 1e12, 1e160])
     def test_functional(self, scale):
         b = np.array([1.0, 1, 2, 2, 3, 3, 3, 3, 2, 1])
-        qw = np.full(10, 0.1)
-        grid = np.linspace(0.05, 0.95, 10)
-        ref = functional_threshold_weights(Dispersion(b, qw), 0.4, grid=grid).w
-        got = functional_threshold_weights(Dispersion(b * scale, qw), 0.4, grid=grid).w
+        grid = np.linspace(0.0, 0.9, 10)
+        ref = functional_threshold_weights(Dispersion(b, grid=grid), 0.4).w
+        got = functional_threshold_weights(Dispersion(b * scale, grid=grid), 0.4).w
         assert np.allclose(got, ref, atol=1e-12)
 
 
@@ -221,14 +220,13 @@ class TestSoftThreshold:
 class TestFunctionalThreshold:
     def test_level_for_linear_dispersion(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        qw = trapezoid_weights(grid)
-        level = functional_threshold_level(Dispersion(grid.copy(), qw), 0.5)
+        level = functional_threshold_level(Dispersion(grid.copy(), grid=grid), 0.5)
         assert level == pytest.approx(0.5, abs=2e-3)
 
     def test_weights_for_linear_dispersion(self):
         grid = np.linspace(0.0, 1.0, 1001)
         qw = trapezoid_weights(grid)
-        wf = functional_threshold_weights(Dispersion(grid.copy(), qw), 0.5, grid=grid)
+        wf = functional_threshold_weights(Dispersion(grid.copy(), grid=grid), 0.5)
         # continuum solution: w = x / sqrt(int_{1/2}^1 x^2 dx) on (1/2, 1]
         assert wf.w[-1] == pytest.approx(math.sqrt(24.0 / 7.0), rel=1e-3)
         assert wf.w[250] == 0.0
@@ -236,14 +234,15 @@ class TestFunctionalThreshold:
         assert np.sum(qw * wf.w**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_simple_function_level_by_hand(self):
-        # 10 samples, each carrying mass 1/10
+        # 10 samples on [0, 0.9]: interior masses 1/10, the two half-masses
+        # at the ends, where b = 1
         b = np.array([1.0, 1, 2, 2, 3, 3, 3, 3, 2, 1])
-        qw = np.full(10, 0.1)
+        disp = Dispersion(b, grid=np.linspace(0.0, 0.9, 10))
         # measure{b > 1} = 0.7, measure{b > 2} = 0.4; smallest level whose
-        # retained measure fits the 0.6 budget is 2
-        level = functional_threshold_level(Dispersion(b, qw), 0.4)
+        # retained measure fits the 0.9 - 0.4 = 0.5 budget is 2
+        level = functional_threshold_level(disp, 0.4)
         assert level == 2.0
-        wf = functional_threshold_weights(Dispersion(b, qw), 0.4, grid=np.linspace(0.05, 0.95, 10))
+        wf = functional_threshold_weights(disp, 0.4)
         expected = 3.0 / math.sqrt(4 * 0.1 * 9.0)
         on = wf.w[b > 2.0]
         assert np.allclose(on, expected)
@@ -251,42 +250,34 @@ class TestFunctionalThreshold:
 
     def test_plateau_zero_measure_may_exceed_m(self):
         b = np.array([1.0, 1, 2, 2, 3, 3, 3, 3, 2, 1])
-        wf = functional_threshold_weights(
-            Dispersion(b, np.full(10, 0.1)), 0.5, grid=np.linspace(0.05, 0.95, 10)
-        )
-        # the plateau at 2 cannot be split: zeroing it leaves measure 0.6 > m
+        wf = functional_threshold_weights(Dispersion(b, grid=np.linspace(0.0, 0.9, 10)), 0.45)
+        # the plateau at 2 cannot be split: zeroing it leaves measure 0.5 > m
         assert wf.support_measure() == pytest.approx(0.4)
 
     def test_all_zero_dispersion_raises(self):
         with pytest.raises(DegenerateDispersion):
-            functional_threshold_weights(
-                Dispersion(np.zeros(10), np.full(10, 0.1)), 0.4, grid=np.linspace(0.05, 0.95, 10)
-            )
+            functional_threshold_weights(Dispersion(np.zeros(10), grid=np.linspace(0.0, 0.9, 10)), 0.4)
 
     def test_m_out_of_range(self):
-        b = np.ones(10)
-        qw = np.full(10, 0.1)
-        grid = np.linspace(0.05, 0.95, 10)
+        disp = Dispersion(np.ones(10), grid=np.linspace(0.0, 0.9, 10))
         with pytest.raises(SparsityOutOfRange):
-            functional_threshold_weights(Dispersion(b, qw), 0.0, grid=grid)
+            functional_threshold_weights(disp, 0.0)
         with pytest.raises(SparsityOutOfRange):
-            functional_threshold_weights(Dispersion(b, qw), 1.0, grid=grid)
+            functional_threshold_weights(disp, 1.0)
 
     def test_quad_weights_and_grid_checked(self):
         b = np.ones(4)
-        qw = np.array([0.5, 0.0, 0.25, 0.25])
+        # the first trapezoid mass of this strictly increasing grid underflows to 0
         with pytest.raises(GridMismatch, match="positive"):
-            functional_threshold_level(Dispersion(b, qw), 0.4)
-        with pytest.raises(GridMismatch, match="positive"):
-            functional_threshold_weights(Dispersion(b, qw), 0.4, grid=np.arange(4.0))
-        with pytest.raises(GridMismatch, match="grid length"):
-            functional_threshold_weights(Dispersion(b, np.full(4, 0.25)), 0.4, grid=np.arange(3.0))
+            Dispersion(b, grid=[0.0, 5e-324, 1e-323, 1.0])
+        with pytest.raises(GridMismatch, match="grid of 3 points"):
+            Dispersion(b, grid=np.arange(3.0))
+        with pytest.raises(GridMismatch, match="on a grid"):
+            functional_threshold_weights(Dispersion(b), 0.4)
 
     def test_two_node_grid_runs(self):
         fd = Dataset(np.zeros((2, 2)), grid=np.array([0.0, 1.0]))
-        wf = functional_threshold_weights(
-            Dispersion(np.array([1.0, 2.0]), fd.quad_weights), 0.4, grid=fd.grid
-        )
+        wf = functional_threshold_weights(Dispersion(np.array([1.0, 2.0]), grid=fd.grid), 0.4)
         assert wf.w[0] == 0.0
         assert wf.w[1] == pytest.approx(np.sqrt(2.0))
 
@@ -298,11 +289,12 @@ class TestFunctionalThreshold:
     )
     def test_property_support_above_level(self, vals, mfrac):
         b = np.array(vals)
-        qw = np.full(len(b), 1.0 / len(b))
+        disp = Dispersion(b, grid=np.linspace(0.0, 1.0, len(b)))
+        qw = disp.quad_weights
         m = mfrac  # domain measure is 1 here
         try:
-            level = functional_threshold_level(Dispersion(b, qw), m)
-            wf = functional_threshold_weights(Dispersion(b, qw), m, grid=(np.arange(len(b)) + 0.5) / len(b))
+            level = functional_threshold_level(disp, m)
+            wf = functional_threshold_weights(disp, m)
         except DegenerateDispersion:
             return
         on = b > level

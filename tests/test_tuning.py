@@ -1,7 +1,10 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsekm import engine, tuning
 from sparsekm.datatypes import Dataset, trapezoid_weights
@@ -129,16 +132,76 @@ class TestGapCurveType:
 
 class TestOneSdRule:
     def test_walks_back_to_sparser_candidate(self):
+        # candidate 1 has the larger m: it is within one sd of the winner
+        gap = np.array([2.0, 1.0])
+        sd = np.array([1.5, 0.5])
+        excluded = np.array([False, False])
+        assert _apply_one_sd_rule(0, gap, sd, excluded) == 1
+
+    def test_never_walks_to_denser_candidate(self):
         gap = np.array([1.0, 2.0])
         sd = np.array([0.5, 1.5])
         excluded = np.array([False, False])
-        assert _apply_one_sd_rule(1, gap, sd, excluded) == 0
+        assert _apply_one_sd_rule(1, gap, sd, excluded) == 1
 
     def test_skips_excluded(self):
         gap = np.array([np.nan, 2.0])
         sd = np.array([np.nan, 1.5])
         excluded = np.array([True, False])
         assert _apply_one_sd_rule(1, gap, sd, excluded) == 1
+
+
+def _scan_with_objectives(table, one_sd_rule):
+    """Run the gap scan with fits that return ``table[j, i]``: the objective
+    of dataset j (0 observed, then one per reference) at candidate i."""
+    d = informative_plus_noise(n_per=4, p=3)
+    candidates = list(range(table.shape[1]))
+    refs = []
+
+    def permute(rng):
+        refs.append(Dataset(d.values.copy()))
+        return refs[-1]
+
+    def fit(data, k, m, cfg, start=None):
+        j = 0 if data is d else 1 + next(i for i, r in enumerate(refs) if r is data)
+        return SimpleNamespace(objective=float(table[j, m]))
+
+    cfg = KMeansConfig(k=2, n_init=1, seed=0)
+    return tuning._gap_scan(d, 2, candidates, table.shape[0] - 1, cfg, one_sd_rule, fit, permute)
+
+
+class TestGapScanSelection:
+    def test_exact_max_gap_tie_goes_to_larger_m(self):
+        table = np.array([[2.0, 4.0, 4.0, 1.0], [1.0, 2.0, 2.0, 1.0]])
+        m_star, curve = _scan_with_objectives(table, one_sd_rule=False)
+        assert curve.gap[1] == curve.gap[2] == np.nanmax(curve.gap)
+        assert m_star == 2
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, 4.0]), min_size=n, max_size=n),
+                min_size=3, max_size=4,
+            )
+        )
+    )
+    def test_property_one_sd_picks_largest_qualifying_m(self, rows):
+        table = np.array(rows)
+        try:
+            m_max, curve = _scan_with_objectives(table, one_sd_rule=False)
+        except DegenerateObjective:
+            return  # every candidate had a zero objective
+        m_sd, _ = _scan_with_objectives(table, one_sd_rule=True)
+        ok = ~curve.excluded
+        gap, sd = curve.gap, curve.perm_log_obj_sd
+        # the max-gap pick is the largest m among the exact ties
+        assert gap[m_max] == np.max(gap[ok])
+        assert not np.any(gap[m_max + 1:][ok[m_max + 1:]] == gap[m_max])
+        # the one-sd pick qualifies, is no denser, and no larger m qualifies
+        floor = gap[m_max] - sd[m_max]
+        assert ok[m_sd] and gap[m_sd] >= floor
+        assert m_sd >= m_max
+        assert not np.any(gap[m_sd + 1:][ok[m_sd + 1:]] >= floor)
 
 
 class TestTuneMv:
