@@ -185,12 +185,16 @@ def cmd_simulate(args) -> int:
         )
         meta = {"m": m_used}
     out = _outdir(args)  # only once the run has validated its inputs and returned
+    dumped = []
     for det in details:
         if args.which == "gaussian":
-            dataio.write_mv_csv(out / f"data_run{det.run:02d}.csv", det.data, det.truth)
+            names = [f"data_run{det.run:02d}.csv"]
+            dataio.write_mv_csv(out / names[0], det.data, det.truth)
         else:
-            dataio.write_fd_csv(out / f"curves_run{det.run:02d}.csv", det.data)
-            dataio.write_labels(out / f"truth_run{det.run:02d}.csv", det.truth)
+            names = [f"curves_run{det.run:02d}.csv", f"truth_run{det.run:02d}.csv"]
+            dataio.write_fd_csv(out / names[0], det.data)
+            dataio.write_labels(out / names[1], det.truth)
+        dumped += names
     _write_benchmark_outputs(out, records, summaries, args.sd_zero)
     return _finish(out, {
         "command": "simulate",
@@ -207,7 +211,7 @@ def cmd_simulate(args) -> int:
             }
             for s in summaries
         ],
-    }, ("report.csv", "runs.csv"))
+    }, (*dumped, "report.csv", "runs.csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:

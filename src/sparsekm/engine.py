@@ -75,22 +75,23 @@ def _pairwise_sq_dists(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarra
 
 
 def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
-    """D^2-sampled initial centroids (kmeans++ style)."""
+    """D^2-sampled initial centroids (kmeans++ style), as a fresh array.
+
+    A D^2 row is computed only for the picks whose distances a later draw
+    reads, so never for the last one.
+    """
     n = z.shape[0]
-    centroids = np.empty((k, z.shape[1]), dtype=np.float64)
-    pick = int(rng.integers(n))
-    centroids[0] = z[pick]
-    d2 = np.add.reduce((z - centroids[0]) ** 2, axis=1)
-    for j in range(1, k):
+    picks, d2 = [int(rng.integers(n))], None
+    for _ in range(1, k):
+        row = np.add.reduce((z - z[picks[-1]]) ** 2, axis=1)
+        d2 = row if d2 is None else np.minimum(d2, row, out=d2)
         total = float(np.add.reduce(d2))
         if total <= 0.0:
-            pick = int(rng.integers(n))
+            picks.append(int(rng.integers(n)))
         else:
             r = rng.random() * total
-            pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
-        centroids[j] = z[pick]
-        np.minimum(d2, np.add.reduce((z - centroids[j]) ** 2, axis=1), out=d2)
-    return centroids
+            picks.append(min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1))
+    return z[picks]
 
 
 def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes, out: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ components never share a stream by accident.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,7 +36,10 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
     The uniforms are (k + 0.5) * 2**-53 for k drawn from [0, 2**53), so they
     lie strictly inside (0, 1) and the transform never hits an infinity.
-    Pinning the transform keeps draws reproducible across platforms.
+    Pinning the transform keeps draws reproducible across platforms. scipy
+    is imported here, so only the data generators pay for it.
     """
+    from scipy.special import ndtri
+
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
     return ndtri((k + 0.5) * 2.0**-53)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsekm
 from sparsekm.cli import main
 from sparsekm.dataio import read_labels, write_fd_csv, write_labels, write_mv_csv
 from sparsekm.datatypes import Dataset, Partition
@@ -324,7 +329,16 @@ class TestSimulate:
         summary = json.loads((out_zero / "summary.json").read_text())
         assert summary["report"][0]["sd_cer"] is None
 
-    def test_dump_data_writes_datasets(self, tmp_path):
+    def test_dump_data_writes_datasets(self, tmp_path, capsys):
+        def wrote(out):
+            """The ``wrote`` lines printed, which must name every file written, once."""
+            lines = capsys.readouterr().out.splitlines()
+            assert all(line.startswith("wrote ") for line in lines)
+            assert sorted(line[len("wrote "):] for line in lines) == sorted(
+                str(f) for f in out.iterdir()
+            )
+            return len(lines)
+
         out = tmp_path / "out"
         code = run_cli(
             "simulate", "gaussian", "--p", "20", "--runs", "2", "--dump-data",
@@ -334,12 +348,14 @@ class TestSimulate:
         assert (out / "data_run00.csv").exists()
         assert (out / "data_run01.csv").exists()
         assert_lf_csvs(out)
+        assert wrote(out) == 5  # two datasets, report.csv, runs.csv, summary.json
         out = tmp_path / "curves"
         code = run_cli("simulate", "curves", "--runs", "1", "--dump-data", "--out", out)
         assert code == 0
         assert (out / "curves_run00.csv").exists()
         assert (out / "truth_run00.csv").exists()
         assert_lf_csvs(out)
+        assert wrote(out) == 5  # curves, truth, report.csv, runs.csv, summary.json
 
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -349,3 +365,11 @@ class TestSimulate:
                 "--out", out,
             ) == 0
         assert (out1 / "runs.csv").read_text() == (out2 / "runs.csv").read_text()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only when a data generator draws, so cluster,
+    fcluster and tune on a CSV file never pay for it."""
+    code = "import sys, sparsekm, sparsekm.cli; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsekm.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

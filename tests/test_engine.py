@@ -515,6 +515,17 @@ class TestMergeStop:
         assert merged[0] is None and len(merged[2]) == 1
         assert _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, {})[1] == wcss
 
+    def test_seeding_same_bits_as_reference(self):
+        """The same centroids and the same draws as the reference, as a
+        fresh array that _lloyd may overwrite."""
+        for z, cfg, _ in lloyd_cases():
+            for r in range(int(cfg.n_init)):
+                rng, ref_rng = (spawn_rng(cfg.seed, STREAM_RESTART, r) for _ in range(2))
+                got = _kmeanspp_init(z, int(cfg.k), rng)
+                assert got.tobytes() == _ref_kmeanspp_init(z, int(cfg.k), ref_rng).tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert got.flags.writeable and not np.shares_memory(got, z)
+
     def test_fewer_lloyd_steps(self, monkeypatch):
         rng = np.random.default_rng(5)
         z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.5, 1.0, size=(40, 3))]
