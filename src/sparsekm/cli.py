@@ -79,17 +79,17 @@ def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int
 
 
 def cmd_cluster(args) -> int:
-    data, truth = dataio.read_mv_csv(args.input, args.truth_col)
-    cfg = _cfg_from(args, args.k)
     if args.m is not None:
         args.m = whole_m(args.m)  # summary.json records the int
+    if args.method == "hard" and args.m is None:
+        raise ValidationError("--method hard requires --m")
+    if args.method == "soft" and args.s is None:
+        raise ValidationError("--method soft requires --s")
+    cfg = _cfg_from(args, args.k)
+    data, truth = dataio.read_mv_csv(args.input, args.truth_col)
     if args.method == "hard":
-        if args.m is None:
-            raise ValidationError("--method hard requires --m")
         result = sparse_kmeans_mv(data, args.k, args.m, cfg)
     else:
-        if args.s is None:
-            raise ValidationError("--method soft requires --s")
         result = soft_sparse_kmeans_mv(data, args.k, args.s, cfg)
     return _write_fit(args, result, truth, "weights.csv", dataio.write_weight_vector, {
         "command": "cluster",

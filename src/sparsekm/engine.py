@@ -68,7 +68,7 @@ def _row_sq_norms(z: np.ndarray) -> np.ndarray:
 def _pairwise_sq_dists(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances from every row of z to every centroid; ``sq_norms``
     is _row_sq_norms(z), which does not change while the centroids move."""
-    d2 = np.add.outer(sq_norms, np.add.reduce(centroids * centroids, axis=1))
+    d2 = sq_norms[:, None] + np.add.reduce(centroids * centroids, axis=1)
     d2 -= 2.0 * (z @ centroids.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -90,27 +90,30 @@ def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
             picks.append(int(rng.integers(n)))
         else:
             r = rng.random() * total
-            picks.append(min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1))
+            picks.append(min(int(d2.cumsum().searchsorted(r, side="right")), n - 1))
     return z[picks]
 
 
 def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes, out: np.ndarray) -> np.ndarray:
     """Row ``j`` of ``out`` becomes the mean of the rows labelled ``j``; the
-    same sum-then-divide as ndarray.mean, so the bits are the same."""
-    for j, size in enumerate(sizes):
-        out[j] = np.add.reduce(z[labels0 == j], axis=0) / size
+    same sum-then-divide as ndarray.mean, so the bits are the same. The sums
+    go straight into ``out``, which is then divided once."""
+    for j in range(len(sizes)):
+        np.add.reduce(z[labels0 == j], axis=0, out=out[j])
+    out /= sizes[:, None]
     return out
 
 
 def _lloyd(z: np.ndarray, sq_norms: np.ndarray, k: int, centroids: np.ndarray, max_iter: int, finished: dict):
     """Lloyd iteration until the assignment is a fixed point.
 
-    Returns (labels, wcss, wcss_history); history holds the post-assignment
-    within-cluster sum of squares of every step and is non-increasing. An
-    empty cluster is re-seeded at the observation farthest from its own
-    centroid whose cluster keeps another member, which never increases the
-    criterion; no cluster is left empty. With fewer than k distinct rows no
-    reseed can separate the clusters, so TooFewDistinctRows is raised.
+    Returns (labels, wcss, steps): wcss is the within-cluster sum of squares
+    after the last assignment, summed once per run, and steps counts the
+    assignments made. An empty cluster is re-seeded at the observation
+    farthest from its own centroid whose cluster keeps another member, which
+    never increases the criterion; no cluster is left empty. With fewer than
+    k distinct rows no reseed can separate the clusters, so
+    TooFewDistinctRows is raised.
 
     Once a labeling is accepted, the rest of the run depends on it alone,
     because the next centroids are its cluster means. ``finished`` maps the
@@ -118,28 +121,28 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, k: int, centroids: np.ndarray, m
     its way to a fixed point to the steps it then still took. A run that
     accepts such a labeling with at least that many steps left would end
     with the same labels and WCSS, so it stops there and returns labels
-    None. A run that reaches its own fixed point adds its labelings.
+    None and wcss inf. A run that reaches its own fixed point adds its
+    labelings.
     """
     n = z.shape[0]
     rows = np.arange(n)
     labels, key, path = None, None, []
-    history = []
     for step in range(max_iter):
         d2 = _pairwise_sq_dists(z, sq_norms, centroids)
         new_labels = d2.argmin(axis=1)
-        closest = d2[rows, new_labels]
+        closest = None
         sizes = np.bincount(new_labels, minlength=k)
         if np.count_nonzero(sizes) < k:
             n_distinct = np.unique(z, axis=0).shape[0]
             if n_distinct < k:
                 raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+            closest = d2[rows, new_labels]
             for j in np.flatnonzero(sizes == 0):
                 far = int(np.argmax(np.where(sizes[new_labels] > 1, closest, -1.0)))
                 sizes[new_labels[far]] -= 1
                 sizes[j] = 1
                 new_labels[far] = j
                 closest[far] = 0.0
-        history.append(float(np.add.reduce(closest)))
         new_key = new_labels.tobytes()
         if new_key == key:
             for i, visited in enumerate(path):
@@ -147,11 +150,13 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, k: int, centroids: np.ndarray, m
             break
         left = finished.get(new_key)
         if left is not None and left < max_iter - step:
-            return None, history[-1], history
+            return None, np.inf, step + 1
         labels, key = new_labels, new_key
         path.append(key)
         _cluster_means(z, labels, sizes, centroids)  # every cluster has a member after the reseeds
-    return labels, history[-1], history
+    if closest is None:
+        closest = d2[rows, new_labels]
+    return labels, float(np.add.reduce(closest)), step + 1
 
 
 def _canonical_labels(labels0: np.ndarray) -> np.ndarray:

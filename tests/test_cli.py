@@ -99,6 +99,15 @@ class TestCluster:
         assert code == 2
         assert "requires --m" in capsys.readouterr().err
 
+    def test_usage_checked_before_reading_input(self, tmp_path, capsys):
+        code = run_cli(
+            "cluster", "--input", tmp_path / "absent.csv", "--k", "3", "--method", "hard",
+            "--out", tmp_path / "o",
+        )
+        assert code == 2
+        assert "requires --m" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_soft_requires_s(self, mv_csv, tmp_path, capsys):
         code = run_cli(
             "cluster", "--input", mv_csv, "--k", "3", "--method", "soft",

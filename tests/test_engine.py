@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparsekm.engine import (
     KMeansConfig,
     _best_weighted_lloyd,
     _canonical_labels,
+    _cluster_means,
     _kmeanspp_init,
     _lloyd,
     _row_sq_norms,
@@ -157,7 +159,11 @@ class TestLloydInternals:
         z = rng.normal(size=(30, 3))
         for seed in range(5):
             picks = np.random.default_rng(seed).choice(30, 3, replace=False)
-            _, wcss, history = _lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), 100, {})
+            _, wcss, steps = _lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), 100, {})
+            # a run capped at s steps returns the WCSS after step s
+            capped = [_lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), s, {}) for s in range(1, steps + 1)]
+            assert [c[2] for c in capped] == list(range(1, steps + 1))
+            history = [c[1] for c in capped]
             hist = np.asarray(history)
             assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
             assert wcss == history[-1]
@@ -485,9 +491,25 @@ def lloyd_cases(n_cases=240):
         yield z, cfg, warm
 
 
+def wide_lloyd_cases():
+    """The shapes of the wide workloads, which lloyd_cases does not reach:
+    60 rows of 400 and of 2000 columns, and 1002 rows of 100, at k = 2
+    (cold) and k = 3 (warm-started), with clusters on the first 10 columns."""
+    rng = np.random.default_rng(78)
+    for n, p in ((60, 400), (60, 2000), (1002, 100)):
+        for k in (2, 3):
+            z = rng.normal(size=(n, p))
+            z[:, :10] += 2.0 * rng.normal(size=(k, 10))[rng.integers(k, size=n)]
+            cfg = KMeansConfig(k=k, n_init=10, seed=n + p + k)
+            warm = None
+            if k == 3:
+                warm = Partition(np.r_[np.arange(k), rng.integers(k, size=n - k)] + 1, k)
+            yield z, cfg, warm
+
+
 class TestMergeStop:
     def test_same_bits_as_reference(self):
-        for z, cfg, warm in lloyd_cases():
+        for z, cfg, warm in itertools.chain(lloyd_cases(), wide_lloyd_cases()):
             try:
                 want = _ref_best_weighted_lloyd(z, cfg, warm, [0])
             except TooFewDistinctRows as exc:
@@ -498,13 +520,23 @@ class TestMergeStop:
             assert got[0] == want[0]
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
+    def test_centroids_same_bits_as_mean_at_wide_shapes(self):
+        """Summed into place and divided once, each centroid has the bits of
+        ndarray.mean; a WCSS over hundreds of columns can hide an ulp."""
+        for z, cfg, _ in wide_lloyd_cases():
+            k = int(cfg.k)
+            labels0 = np.r_[np.arange(k), np.random.default_rng(cfg.seed).integers(k, size=z.shape[0] - k)]
+            want = np.stack([z[labels0 == j].mean(axis=0) for j in range(k)])
+            got = _cluster_means(z, labels0, np.bincount(labels0, minlength=k), np.empty_like(want))
+            assert got.tobytes() == want.tobytes()
+
     def test_stops_only_with_the_steps_to_finish(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(60, 4))
         c0 = _kmeanspp_init(z, 3, spawn_rng(0, STREAM_RESTART, 0))
         finished = {}
-        labels, wcss, history = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), 100, finished)
-        steps = len(history)  # the first labeling, then steps - 1 more to its fixed point
+        # the first labeling, then steps - 1 more to its fixed point
+        labels, wcss, steps = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), 100, finished)
         assert steps > 2 and len(finished) == steps - 1
         # one step short of the fixed point: runs on, as without the record
         capped = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps - 1, dict(finished))
@@ -512,7 +544,7 @@ class TestMergeStop:
         assert capped[0] is not None and np.array_equal(capped[0], alone[0]) and capped[1] == alone[1]
         # enough steps: stops at the first labeling, which would end at labels, wcss
         merged = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, dict(finished))
-        assert merged[0] is None and len(merged[2]) == 1
+        assert merged[0] is None and merged[2] == 1
         assert _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, {})[1] == wcss
 
     def test_seeding_same_bits_as_reference(self):
