@@ -113,24 +113,25 @@ def cmd_fcluster(args) -> int:
     })
 
 
-def _parse_grid(text: str, cast) -> list:
+def _parse_grid(text: str) -> list:
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse --m-grid value {text!r}") from None
 
 
 def cmd_tune(args) -> int:
     cfg = _cfg_from(args, args.k)
+    grid = _parse_grid(args.m_grid) if args.m_grid else None  # before the input is read
     if args.functional:
         data = dataio.read_fd_csv(args.input)
-        cast, tune, extra = float, tune_m_fd, {"n_subdomains": args.n_subdomains}
+        tune, extra = tune_m_fd, {"n_subdomains": args.n_subdomains}
         default_grid = [data.domain_measure * i / 10.0 for i in range(1, 10)]
     else:
         data, _ = dataio.read_mv_csv(args.input)
-        cast, tune, extra = int, tune_m_mv, {}
+        tune, extra = tune_m_mv, {}
         default_grid = sorted({int(round(v)) for v in np.linspace(0, data.n_features - 1, 10)})
-    grid = _parse_grid(args.m_grid, cast) if args.m_grid else default_grid
+    grid = default_grid if grid is None else grid
     m_star, curve = tune(data, args.k, grid, b_perms=args.b_perms, cfg=cfg,
                          one_sd_rule=args.one_sd_rule, **extra)
     out = _outdir(args)
@@ -274,10 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -6,6 +6,7 @@ so downstream code can assume well-formed inputs without re-checking.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +46,28 @@ def check_finite(values: np.ndarray, what: str = "value") -> None:
         raise NonFinite(f"non-finite {what} at index {pos[0] if len(pos) == 1 else pos}")
 
 
+def whole(value, what: str, least: int | None = None, error=ValidationError) -> int:
+    """The one rule for a count: ``value`` as an int. 3.0 and np.int64(3) pass;
+    2.7, nan, inf and non-numbers raise ``error`` naming ``what``, as does a
+    value below ``least``."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise error(f"{what} must be a whole number, got {value}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
+def whole_fields(obj, error=ValidationError, **least) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as
+    ``whole(value, name, least)``."""
+    for name, lo in least.items():
+        object.__setattr__(obj, name, whole(getattr(obj, name), name, lo, error))
+
+
 def whole_m(m) -> int:
     """A feature count m as an int; 10.0 passes, 2.7, nan and inf do not."""
-    try:
-        if float(m).is_integer():
-            return int(m)
-    except (TypeError, ValueError):
-        pass
-    raise SparsityOutOfRange(f"m must be a whole number, got {m}")
+    return whole(m, "m", error=SparsityOutOfRange)
 
 
 def count_m(m, p: int) -> int:
@@ -190,9 +205,7 @@ class Partition:
         if labels.ndim != 1 or labels.size < 1:
             raise EmptyData("labels must be a non-empty 1-d sequence")
         labels = _integral_labels(labels)
-        k = int(self.k)
-        if k < 1:
-            raise EmptyCluster(f"k must be >= 1, got {k}")
+        k = whole(self.k, "k", 1, EmptyCluster)
         if labels.min() < 1 or labels.max() > k:
             raise EmptyCluster(f"labels must lie in 1..{k}")
         counts = np.bincount(labels, minlength=k + 1)

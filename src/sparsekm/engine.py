@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, count_m, measure_m, require_grid
+from .datatypes import Dataset, Partition, SparseClusterResult, count_m, measure_m, require_grid, whole_fields
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -27,7 +27,6 @@ from .errors import (
     PartitionMismatch,
     SparsityOutOfRange,
     TooFewDistinctRows,
-    ValidationError,
 )
 from .rngutil import STREAM_RESTART, spawn_rng
 from .solvers import (
@@ -43,7 +42,7 @@ class KMeansConfig:
 
     ``k`` is used directly by weighted_kmeans; the sparse_* entry points
     take K explicitly and override it. Identical seeds and inputs give
-    bit-identical results.
+    bit-identical results. Every field is a whole number, stored as an int.
     """
 
     k: int = 2
@@ -53,12 +52,7 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.k) < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
-        if int(self.n_init) < 1:
-            raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
-        if int(self.max_iter_lloyd) < 1 or int(self.max_iter_outer) < 1:
-            raise ValidationError("iteration caps must be >= 1")
+        whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
 def _row_sq_norms(z: np.ndarray) -> np.ndarray:
@@ -202,10 +196,10 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     of an earlier candidate would tie with it, so _lloyd stops it there.
     Row norms are computed once for all candidates.
     """
-    k = int(cfg.k)
+    k = cfg.k
     if k > z.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {z.shape[0]} observations")
-    sq_norms, max_iter, finished = _row_sq_norms(z), int(cfg.max_iter_lloyd), {}
+    sq_norms, max_iter, finished = _row_sq_norms(z), cfg.max_iter_lloyd, {}
     best_labels, best_wcss = None, np.inf
     if warm is not None:
         if warm.n_obs != z.shape[0]:
@@ -217,8 +211,8 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
         centroids = _cluster_means(z, warm.labels - 1, warm.sizes(), np.empty((warm.k, z.shape[1])))
         best_labels, best_wcss, _ = _lloyd(z, sq_norms, k, centroids, max_iter, finished)
     rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
-    for r in range(int(cfg.n_init)):
-        rng.bit_generator.state = _restart_state(int(cfg.seed), r)
+    for r in range(cfg.n_init):
+        rng.bit_generator.state = _restart_state(cfg.seed, r)
         labels, wcss, _ = _lloyd(z, sq_norms, k, _kmeanspp_init(z, k, rng), max_iter, finished)
         if labels is not None and wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
@@ -260,7 +254,7 @@ def _alternate(d, k, cfg, solve, dispersion, start=None):
     capped by max_iter_outer is not converged. Either way the returned
     weights and the last trace entry belong to the returned partition.
     """
-    cfg = replace(cfg, k=int(k))
+    cfg = replace(cfg, k=k)
     if start is None:
         part = weighted_kmeans(d, uniform_weights(d), cfg)
     elif start.k != cfg.k or start.n_obs != d.n_obs:
@@ -275,7 +269,7 @@ def _alternate(d, k, cfg, solve, dispersion, start=None):
         disp = dispersion(d, part)
         weights = solve(disp)
         trace.append(weighted_objective(weights, disp))
-        if part.key() in seen or len(trace) >= int(cfg.max_iter_outer):
+        if part.key() in seen or len(trace) >= cfg.max_iter_outer:
             break
         seen.add(part.key())
         nxt = weighted_kmeans(d, weights, cfg, init_partition=part)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, whole_m
+from .datatypes import Dataset, Partition, SparseClusterResult, whole, whole_m
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -98,12 +98,8 @@ def _run_benchmark(runs, seed, draw, methods, detail):
     to a Partition or a SparseClusterResult, scored by CER against the truth.
     ``detail(r, data, truth, *fits)`` builds a run's detail record; None keeps none.
     """
-    if not float(runs).is_integer():
-        raise ValidationError(f"runs must be a whole number, got {runs}")
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
     records, details = [], []
-    for r in range(int(runs)):
+    for r in range(whole(runs, "runs", 1)):
         data, truth = draw(derive_seed(seed, STREAM_RUN, r))
         fits = [
             fit(data, KMeansConfig(k=truth.k, seed=derive_seed(seed, STREAM_METHOD, r, i)))
@@ -133,6 +129,7 @@ def run_gaussian_benchmark(
     design's informative features (``MvScenario.q``, 10). Returns (records,
     summaries, details); details is empty unless requested.
     """
+    p = whole(p, "p")
     if p < MvScenario.q:
         raise ValidationError(
             f"p={p} too small: the Gaussian design needs p >= {MvScenario.q}, "

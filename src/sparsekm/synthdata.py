@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, Partition
+from .datatypes import Dataset, Partition, whole_fields
 from .errors import ValidationError
 from .rngutil import STREAM_DATASET, spawn_rng, standard_normal
 
@@ -40,12 +40,9 @@ class MvScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValidationError(f"p must be >= 1, got {self.p}")
-        if not 1 <= self.q <= self.p:
+        whole_fields(self, p=1, q=1, n_per_class=1, seed=None)
+        if self.q > self.p:
             raise ValidationError(f"q={self.q} outside [1, {self.p}]")
-        if self.n_per_class < 1:
-            raise ValidationError("n_per_class must be >= 1")
         if self.sigma < 0.0:
             raise ValidationError("sigma must be >= 0")
 
@@ -87,10 +84,7 @@ class FdScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_grid < 2:
-            raise ValidationError(f"n_grid must be >= 2, got {self.n_grid}")
-        if self.n_per_class < 1:
-            raise ValidationError("n_per_class must be >= 1")
+        whole_fields(self, n_grid=2, n_per_class=1, seed=None)
 
 
 def curve_main(x, a, b, c):

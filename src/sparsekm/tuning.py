@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, count_m, measure_m, readonly_array, require_grid
+from .datatypes import Dataset, count_m, measure_m, readonly_array, require_grid, whole, whole_fields
 from .engine import KMeansConfig, sparse_kmeans_fd, sparse_kmeans_mv, uniform_weights, weighted_kmeans
 from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, ValidationError
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
@@ -48,13 +48,11 @@ class GapCurve:
         excluded = np.asarray(self.excluded, dtype=bool)
         if any(f.shape != fields[0].shape for f in fields) or excluded.shape != fields[0].shape:
             raise ValidationError("gap curve arrays must share one length")
-        if int(self.b_perms) < 1:
-            raise ValidationError("b_perms must be >= 1")
         names = ["m_grid", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd"]
         for name, arr in zip(names, fields):
             object.__setattr__(self, name, readonly_array(arr))
         object.__setattr__(self, "excluded", readonly_array(excluded, dtype=bool))
-        object.__setattr__(self, "b_perms", int(self.b_perms))
+        whole_fields(self, b_perms=1)
 
 
 def permute_feature_columns(values: np.ndarray, rng) -> np.ndarray:
@@ -74,8 +72,7 @@ def subdomain_blocks(quad_weights: np.ndarray, n_subdomains: int) -> np.ndarray:
     cumulative quadrature measure, so unequal grid spacing still yields
     (approximately) equal-measure blocks.
     """
-    if n_subdomains < 1:
-        raise ValidationError(f"n_subdomains must be >= 1, got {n_subdomains}")
+    n_subdomains = whole(n_subdomains, "n_subdomains", 1)
     qw = np.asarray(quad_weights, dtype=np.float64)
     mu = float(qw.sum())
     mid = np.cumsum(qw) - qw / 2.0
@@ -111,64 +108,54 @@ def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
     """Permutation-gap scan shared by both tuners.
 
     ``fit(data, k, m, cfg, start=...)`` returns a SparseClusterResult and
-    ``permute(rng)`` one reference dataset. The same b_perms references are
-    reused across all candidates so the curve is comparable along m. A
-    candidate whose observed or reference objective is nonpositive, or
-    whose fit raises NumericalError, is excluded.
+    ``permute(rng)`` one reference dataset. The scan makes one pass per
+    dataset: the observed data, then reference b, drawn from its own stream
+    only when its turn comes, so one reference is alive at a time. The same
+    b_perms references serve every candidate, so the curve is comparable
+    along m. A candidate whose observed or reference objective is
+    nonpositive, or whose fit raises NumericalError, is excluded and not
+    fitted again.
 
     The uniform-weight start of a fit does not depend on m, so each dataset's
-    start is computed once, when first needed, and kept only for this call.
-    A start that raises is not kept, so every candidate that needs it raises
-    and is excluded in turn.
+    start is computed once and shared by its candidates; a start that raises
+    excludes every candidate left.
     """
     if not candidates:
         raise SparsityOutOfRange("m_grid is empty")
-    b_perms = int(b_perms)
-    if b_perms < 1:
-        raise ValidationError(f"b_perms must be >= 1, got {b_perms}")
-    runs = [(d, cfg)]  # the observed data, then the b_perms references
-    for b in range(b_perms):
-        rng = spawn_rng(cfg.seed, STREAM_PERMUTE, b)
-        runs.append((permute(rng), replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, b, 1))))
-    starts = {}
-
-    def objective(j, m):
-        data, run_cfg = runs[j]
-        if j not in starts:
-            starts[j] = weighted_kmeans(data, uniform_weights(data), replace(run_cfg, k=int(k)))
-        return fit(data, k, m, run_cfg, start=starts[j]).objective
-
-    n_m = len(candidates)
-    obs_log = np.full(n_m, np.nan)
-    perm_mean = np.full(n_m, np.nan)
-    perm_sd = np.full(n_m, np.nan)
-    gap = np.full(n_m, np.nan)
-    excluded = np.zeros(n_m, dtype=bool)
-    for i, m in enumerate(candidates):
+    b_perms = whole(b_perms, "b_perms", 1)
+    cfg = replace(cfg, k=k)
+    log_obj = np.full((len(candidates), b_perms + 1), np.nan)  # column 0 observed, b + 1 reference b
+    excluded = np.zeros(len(candidates), dtype=bool)
+    for j in range(b_perms + 1):
+        if excluded.all():
+            break
+        data, run_cfg = d, cfg
+        if j > 0:
+            data = permute(spawn_rng(cfg.seed, STREAM_PERMUTE, j - 1))
+            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, STREAM_PERMUTE, j - 1, 1))
         try:
-            obj = objective(0, m)
-            if obj <= 0.0:
-                raise DegenerateObjective(f"objective {obj} at m={m}")
-            logs = np.empty(b_perms)
-            for b in range(b_perms):
-                ref = objective(b + 1, m)
-                if ref <= 0.0:
-                    raise DegenerateObjective(
-                        f"reference objective {ref} at m={m}, replicate {b}"
-                    )
-                logs[b] = np.log(ref)
+            start = weighted_kmeans(data, uniform_weights(data), run_cfg)
         except NumericalError:
-            excluded[i] = True
-            continue
-        obs_log[i] = np.log(obj)
-        perm_mean[i] = float(np.mean(logs))
-        # Population sd: a single replicate reports spread 0, not NaN.
-        perm_sd[i] = float(np.std(logs))
-        gap[i] = obs_log[i] - perm_mean[i]
+            excluded[:] = True
+            break
+        for i in np.flatnonzero(~excluded):
+            try:
+                obj = fit(data, k, candidates[i], run_cfg, start=start).objective
+            except NumericalError:
+                obj = 0.0  # excluded, like a nonpositive objective
+            if obj <= 0.0:
+                excluded[i] = True
+            else:
+                log_obj[i, j] = np.log(obj)
     if np.all(excluded):
         raise DegenerateObjective(
             "every candidate produced a nonpositive or undefined objective"
         )
+    log_obj[excluded] = np.nan
+    obs_log, ref_log = log_obj[:, 0], log_obj[:, 1:]
+    # Population sd: a single replicate reports spread 0, not NaN.
+    perm_mean, perm_sd = ref_log.mean(axis=1), ref_log.std(axis=1)
+    gap = obs_log - perm_mean
     valid = np.nonzero(~excluded)[0][::-1]  # larger m first: exact ties go to the sparser model
     best = valid[int(np.argmax(gap[valid]))]
     if one_sd_rule:
@@ -231,10 +218,11 @@ def tune_m_fd(
     require_grid(d, True, "tune_m_fd")
     mu = float(np.sum(d.quad_weights))
     candidates = sorted({measure_m(m, mu) for m in np.asarray(m_grid).ravel()})
+    n_subdomains = whole(n_subdomains, "n_subdomains", 1)
     return _gap_scan(
         d, k, candidates, b_perms, cfg or KMeansConfig(), one_sd_rule, sparse_kmeans_fd,
         lambda rng: Dataset(
-            permute_curves_within_blocks(d.values, d.quad_weights, int(n_subdomains), rng), grid=d.grid
+            permute_curves_within_blocks(d.values, d.quad_weights, n_subdomains, rng), grid=d.grid
         ),
     )
 

@@ -265,6 +265,35 @@ class TestTune:
         assert code == 2
         assert "m-grid" in capsys.readouterr().err
 
+    def test_bad_grid_checked_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "tune", "--input", tmp_path / "absent.csv", "--k", "3", "--m-grid", "a,b",
+            "--out", out,
+        )
+        assert code == 2
+        assert "cannot parse --m-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_takes_m_like_cluster(self, mv_csv, tmp_path, capsys):
+        """--m-grid takes m the way --m does: 10.0 is the count 10, 2.5 is a usage error."""
+        out = tmp_path / "out"
+        code = run_cli(
+            "tune", "--input", mv_csv, "--k", "3", "--m-grid", "0,10.0",
+            "--b-perms", "1", "--out", out, "--n-init", "1",
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["m_grid"] == [0.0, 10.0] and summary["chosen_m"] in (0, 10)
+        assert isinstance(summary["chosen_m"], int)
+        code = run_cli(
+            "tune", "--input", mv_csv, "--k", "3", "--m-grid", "2.5",
+            "--out", tmp_path / "bad",
+        )
+        assert code == 2
+        assert "m must be a whole number, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestSimulate:
     def test_gaussian_small(self, tmp_path):

@@ -1,6 +1,10 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from sparsekm import experiments, tuning
 from sparsekm.datatypes import (
     EPS_NORM,
     Dataset,
@@ -9,7 +13,9 @@ from sparsekm.datatypes import (
     Weights,
     objective_slack,
     trapezoid_weights,
+    whole,
 )
+from sparsekm.engine import KMeansConfig
 from sparsekm.errors import (
     DimensionMismatch,
     EmptyCluster,
@@ -23,6 +29,7 @@ from sparsekm.errors import (
     SparsityOutOfRange,
     ValidationError,
 )
+from sparsekm.synthdata import FdScenario, MvScenario, gen_mv
 
 
 class TestDataset:
@@ -253,3 +260,94 @@ def test_objective_slack_scales_with_magnitude():
     assert objective_slack(0.0) == pytest.approx(1e-12)
     assert objective_slack(1e9) == pytest.approx(1e-12 * (1 + 1e9))
     assert objective_slack(-1e9) == objective_slack(1e9)
+
+
+def _curves(n_grid=12, n=10):
+    grid = np.linspace(0.0, 1.0, n_grid)
+    return Dataset(np.random.default_rng(0).normal(size=(n, n_grid)), grid=grid)
+
+
+def _tune_fd_blocks(n_subdomains):
+    """tune_m_fd's n_subdomains as its reference draw receives it."""
+    seen, original = [], tuning.permute_curves_within_blocks
+
+    def spy(values, quad_weights, n, rng):
+        seen.append(n)
+        return original(values, quad_weights, n, rng)
+
+    with mock.patch.object(tuning, "permute_curves_within_blocks", spy):
+        tuning.tune_m_fd(_curves(), 2, [0.5], b_perms=1, n_subdomains=n_subdomains,
+                         cfg=KMeansConfig(n_init=1))
+    return seen[0]
+
+
+def _gaussian_p(p):
+    """run_gaussian_benchmark's p as the dataset it draws sees it."""
+    return experiments.run_gaussian_benchmark(p, runs=1, keep_details=True)[2][0].data.n_features
+
+
+def _tune_mv_b_perms(b_perms):
+    d, _ = gen_mv(MvScenario(p=5, q=2, n_per_class=4))
+    return tuning.tune_m_mv(d, 3, [0], b_perms=b_perms, cfg=KMeansConfig(k=3, n_init=1))[1].b_perms
+
+
+def _blocks(n_subdomains):
+    qw = trapezoid_weights(np.linspace(0.0, 1.0, 12))
+    return len(set(tuning.subdomain_blocks(qw, n_subdomains).tolist()))
+
+
+_ONE = np.array([1.0])
+
+
+def _case(id, what, good, count):
+    return pytest.param(what, good, count, id=id)
+
+
+# (what, a whole value accepted, value -> the count as stored or as used)
+COUNTS = [
+    _case("KMeansConfig.k", "k", 3, lambda v: KMeansConfig(k=v).k),
+    _case("KMeansConfig.n_init", "n_init", 3, lambda v: KMeansConfig(n_init=v).n_init),
+    _case("KMeansConfig.max_iter_lloyd", "max_iter_lloyd", 3,
+          lambda v: KMeansConfig(max_iter_lloyd=v).max_iter_lloyd),
+    _case("KMeansConfig.max_iter_outer", "max_iter_outer", 3,
+          lambda v: KMeansConfig(max_iter_outer=v).max_iter_outer),
+    _case("KMeansConfig.seed", "seed", 3, lambda v: KMeansConfig(seed=v).seed),
+    _case("Partition.k", "k", 3, lambda v: Partition([1, 2, 3], v).k),
+    _case("MvScenario.p", "p", 3, lambda v: MvScenario(p=v, q=3).p),
+    _case("MvScenario.q", "q", 3, lambda v: MvScenario(p=12, q=v).q),
+    _case("MvScenario.n_per_class", "n_per_class", 3,
+          lambda v: MvScenario(p=12, n_per_class=v).n_per_class),
+    _case("MvScenario.seed", "seed", 3, lambda v: MvScenario(p=12, seed=v).seed),
+    _case("FdScenario.n_grid", "n_grid", 3, lambda v: FdScenario(n_grid=v).n_grid),
+    _case("FdScenario.n_per_class", "n_per_class", 3, lambda v: FdScenario(n_per_class=v).n_per_class),
+    _case("FdScenario.seed", "seed", 3, lambda v: FdScenario(seed=v).seed),
+    _case("runs", "runs", 3, lambda v: experiments.run_gaussian_benchmark(10, runs=v)[1][0].n_runs),
+    _case("run_gaussian_benchmark.p", "p", 12, _gaussian_p),
+    _case("tune_m_mv.b_perms", "b_perms", 3, _tune_mv_b_perms),
+    _case("tune_m_fd.n_subdomains", "n_subdomains", 3, _tune_fd_blocks),
+    _case("subdomain_blocks.n_subdomains", "n_subdomains", 3, _blocks),
+    _case("GapCurve.b_perms", "b_perms", 3,
+          lambda v: tuning.GapCurve(_ONE, _ONE, _ONE, _ONE, _ONE, [False], v).b_perms),
+]
+
+
+@pytest.mark.parametrize("what, good, count", COUNTS)
+def test_every_count_takes_the_one_rule(what, good, count):
+    """Every count passes ``whole``: a whole float or numpy integer is stored
+    as a Python int; a fraction, nan, inf or non-number raises a
+    ValidationError that names the input, before any cast can truncate it."""
+    for value in (float(good), np.int64(good)):
+        got = count(value)
+        assert got == good and type(got) is int
+    for bad in (2.5, float("nan"), float("inf"), None, "x"):
+        with pytest.raises(ValidationError, match=re.escape(f"{what} must be a whole number, got {bad}")):
+            count(bad)
+
+
+def test_whole():
+    assert whole(np.float64(4.0), "n") == 4 and type(whole(np.float64(4.0), "n")) is int
+    assert whole(-2, "seed") == -2
+    with pytest.raises(ValidationError, match=r"^n must be >= 1, got 0$"):
+        whole(0, "n", 1)
+    with pytest.raises(SparsityOutOfRange, match=r"^m must be a whole number, got 1.5$"):
+        whole(1.5, "m", error=SparsityOutOfRange)

@@ -151,19 +151,23 @@ class TestOneSdRule:
         assert _apply_one_sd_rule(1, gap, sd, excluded) == 1
 
 
-def _scan_with_objectives(table, one_sd_rule):
+def _scan_with_objectives(table, one_sd_rule, events=None):
     """Run the gap scan with fits that return ``table[j, i]``: the objective
-    of dataset j (0 observed, then one per reference) at candidate i."""
+    of dataset j (0 observed, then one per reference) at candidate i.
+    ``events``, when given, collects ("draw", j) and ("fit", j, i) in call order."""
     d = informative_plus_noise(n_per=4, p=3)
     candidates = list(range(table.shape[1]))
     refs = []
+    events = [] if events is None else events
 
     def permute(rng):
         refs.append(Dataset(d.values.copy()))
+        events.append(("draw", len(refs)))
         return refs[-1]
 
     def fit(data, k, m, cfg, start=None):
         j = 0 if data is d else 1 + next(i for i, r in enumerate(refs) if r is data)
+        events.append(("fit", j, m))
         return SimpleNamespace(objective=float(table[j, m]))
 
     cfg = KMeansConfig(k=2, n_init=1, seed=0)
@@ -202,6 +206,21 @@ class TestGapScanSelection:
         assert ok[m_sd] and gap[m_sd] >= floor
         assert m_sd >= m_max
         assert not np.any(gap[m_sd + 1:][ok[m_sd + 1:]] >= floor)
+
+
+def test_scan_fits_each_dataset_before_drawing_the_next():
+    """One pass per dataset: every fit of dataset j runs before reference j + 1
+    is drawn, and a candidate excluded on dataset j is not fitted again."""
+    table = np.array([[2.0, 4.0, 3.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0]])
+    events = []
+    _, curve = _scan_with_objectives(table, one_sd_rule=False, events=events)
+    assert events == [
+        ("fit", 0, 0), ("fit", 0, 1), ("fit", 0, 2),
+        ("draw", 1), ("fit", 1, 0), ("fit", 1, 1), ("fit", 1, 2),
+        ("draw", 2), ("fit", 2, 0), ("fit", 2, 2),
+    ]
+    assert curve.excluded.tolist() == [False, True, False]
+    assert np.isnan(curve.obs_log_obj[1]) and np.isnan(curve.gap[1])
 
 
 class TestTuneMv:
@@ -281,22 +300,27 @@ class TestTuneFd:
 
 
 def test_b_perms_checked_before_any_fit(monkeypatch):
-    """b_perms < 1 is rejected up front: no fit runs and numpy stays silent."""
+    """A b_perms or n_subdomains below 1 or not whole is rejected up front:
+    no fit or start runs and numpy stays silent."""
 
     def no_fit(*args, **kwargs):
-        raise AssertionError("a fit ran before b_perms was checked")
+        raise AssertionError("a fit ran before the counts were checked")
 
     monkeypatch.setattr(tuning, "sparse_kmeans_mv", no_fit)
     monkeypatch.setattr(tuning, "sparse_kmeans_fd", no_fit)
+    monkeypatch.setattr(tuning, "weighted_kmeans", no_fit)
     grid = np.linspace(0.0, 1.0, 10)
     fd = Dataset(np.random.default_rng(0).normal(size=(8, 10)), grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for b_perms in (0, -1):
+        for b_perms in (0, -1, 1.5):
             with pytest.raises(ValidationError, match="b_perms"):
                 tune_m_mv(informative_plus_noise(), 3, [0, 4], b_perms=b_perms)
             with pytest.raises(ValidationError, match="b_perms"):
                 tune_m_fd(fd, 2, [0.5], b_perms=b_perms)
+        for n_subdomains in (0, 2.5):
+            with pytest.raises(ValidationError, match="n_subdomains"):
+                tune_m_fd(fd, 2, [0.5], b_perms=2, n_subdomains=n_subdomains)
 
 
 def small_curves(seed=6):
@@ -352,13 +376,13 @@ def test_one_cold_start_per_dataset(monkeypatch, fit_name, tune, data, k, grid):
 
 
 def test_failed_start_excludes_every_candidate(monkeypatch):
-    """A start that raises is not kept: each candidate retries it, is
-    excluded, and the scan ends in DegenerateObjective."""
+    """A start that raises runs once: it excludes every candidate at once,
+    and the scan ends in DegenerateObjective."""
     calls = count_cold_calls(monkeypatch)
     d = Dataset(np.repeat([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]], 6, axis=0))
     with pytest.raises(DegenerateObjective, match="every candidate"):
         tune_m_mv(d, 3, [0, 1, 2], b_perms=2, cfg=KMeansConfig(n_init=2, seed=0))
-    assert calls == [True, True, True]
+    assert calls == [True]
 
 
 def test_decreasing_objective_is_excluded_not_a_usage_error():
