@@ -24,31 +24,33 @@ SUMMARY_SCHEMA = 1
 _BLOCK_CELLS = 1 << 13  # cells converted per block when a CSV file is read
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _column_cells(col, nan: str):
-    """Per-row cell iterables of one column, or of a 2-d block of columns."""
-    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
-        return ([str(v)] for v in col)
-    fmt = _fmt if nan == "nan" else lambda v: nan if math.isnan(v) else _fmt(v)
-    return (map(fmt, row.tolist()) for row in col.reshape(len(col), -1))
-
-
 def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> None:
     """Write a CSV file: comma separator, "\n" line ends, an optional header row.
 
     ``columns`` lists the file's columns left to right. A float array is one
     column (1-d) or a block of columns (2-d); its cells are written with
-    _fmt, NaN as ``nan``. Any other sequence is one column written with str.
+    "%.17g", NaN as ``nan``. Any other sequence is one column written with
+    str; its cells are not quoted. Each data row is formatted with one format
+    string, one row at a time.
     """
-    cells = [_column_cells(col, nan) for col in columns]
+    fmts, cols = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            block = col.reshape(len(col), -1)
+            if nan == "nan":
+                cols.append(row.tolist() for row in block)
+            else:
+                cols.append([nan if math.isnan(v) else "%.17g" % v for v in row.tolist()] for row in block)
+            fmts.append(",".join(["%.17g" if nan == "nan" else "%s"] * block.shape[1]))
+        else:
+            fmts.append("%s")
+            cols.append((v,) for v in col)
+    fmt = ",".join(fmts) + "\n"
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            out.writerow(header)
-        out.writerows(itertools.chain.from_iterable(row) for row in zip(*cells))
+            csv.writer(fh, lineterminator="\n").writerow(header)
+        for parts in zip(*cols):
+            fh.write(fmt % tuple(itertools.chain.from_iterable(parts)))
 
 
 def _parses_as_number(token: str) -> bool:
@@ -59,32 +61,70 @@ def _parses_as_number(token: str) -> bool:
     return True
 
 
+# Characters np.loadtxt strips from a cell as whitespace but float() rejects.
+_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(lines, skip: int = 0) -> np.ndarray:
+    """The fast path: the float matrix of ``lines`` after the first ``skip``,
+    in one np.loadtxt call. Each cell it converts, it converts as float()
+    does. A cell only float() reads (1_0, full-width digits, a quoted cell,
+    a whitespace-only line) makes it raise, and so does a line holding one
+    of _LOADTXT_ONLY, which np.loadtxt alone would read."""
+    def checked():
+        for line in lines:
+            if any(c in line for c in _LOADTXT_ONLY):
+                raise ValueError(f"{line!r} holds a character float() rejects")
+            yield line
+
+    return np.loadtxt(checked(), skiprows=skip, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
 def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
     """The header (None when the first row parses as a number) and the float
-    matrix of a CSV file, skipping blank lines. Rows are converted in blocks
-    of about _BLOCK_CELLS cells as the reader yields them, so the file is
-    never held as one Python string per cell."""
+    matrix of a CSV file, skipping blank lines.
+
+    A csv.reader pre-scan reads as far as the first data row: it decides the
+    header and finds an empty or header-only file. The lines after the
+    header are then parsed by _loadtxt, from a second handle that decodes
+    the file as the first does. If it raises, or its width differs from
+    the first row's, the pre-scan's reader goes on with _read_rows, which
+    names the first ragged row or bad cell."""
     try:
         with open(path, newline="") as fh:
-            rows = (row for row in csv.reader(fh) if any(cell.strip() for cell in row))
+            reader = csv.reader(fh)
+            rows = (row for row in reader if any(cell.strip() for cell in row))
             first = next(rows, None)
             if first is None:
                 raise EmptyData(f"{path} contains no data")
-            header = None
+            header, skip = None, 0
             if not _parses_as_number(first[0].strip()):
-                header = [cell.strip() for cell in first]
+                header, skip = [cell.strip() for cell in first], reader.line_num
                 first = next(rows, None)
                 if first is None:
                     raise EmptyData(f"{path} contains a header but no data rows")
-            rows = itertools.chain([first], rows)
-            width, n_read, blocks = len(first), 0, []
-            block_rows = max(1, _BLOCK_CELLS // width)
-            while block := list(itertools.islice(rows, block_rows)):
-                blocks.append(_parse_matrix(block, path, width, n_read))
-                n_read += len(block)
+            try:
+                with open(path) as lines:
+                    matrix = _loadtxt(lines, skip)
+            except Exception:  # whatever np.loadtxt raises, the exact reader decides
+                matrix = None
+            if matrix is None or matrix.shape[1] != len(first):
+                matrix = _read_rows(itertools.chain([first], rows), len(first), path)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return header, np.concatenate(blocks)
+    return header, matrix
+
+
+def _read_rows(rows, width: int, path) -> np.ndarray:
+    """The exact reader: data rows of cells, converted in blocks of about
+    _BLOCK_CELLS cells as they are yielded, so the file is never held as one
+    Python string per cell."""
+    n_read, blocks = 0, []
+    block_rows = max(1, _BLOCK_CELLS // width)
+    while block := list(itertools.islice(rows, block_rows)):
+        blocks.append(_parse_matrix(block, path, width, n_read))
+        n_read += len(block)
+    return np.concatenate(blocks)
 
 
 def _parse_matrix(rows: list[list[str]], path, width: int | None = None, offset: int = 0) -> np.ndarray:

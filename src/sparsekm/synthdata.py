@@ -9,6 +9,8 @@ transform, so a scenario's seed fully determines the dataset.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +45,9 @@ class MvScenario:
         whole_fields(self, p=1, q=1, n_per_class=1, seed=None)
         if self.q > self.p:
             raise ValidationError(f"q={self.q} outside [1, {self.p}]")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be >= 0")
+        if not (isinstance(self.sigma, numbers.Real) and math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def mv_mean_matrix(s: MvScenario) -> np.ndarray:

@@ -1,9 +1,15 @@
+import csv
+import itertools
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sparsekm import dataio
+from sparsekm import cli, dataio
 from sparsekm.dataio import (
     _parse_matrix,
     read_fd_csv,
@@ -30,7 +36,102 @@ from sparsekm.tuning import GapCurve
 
 # Cells on which a whole-file numpy conversion could part ways with float().
 TRICKY_CELLS = ["1_0", " 1.5", "infinity", "1e400", "0x10", "", "-NaN", "\t3\n", "1,5",
-                "1e", "1__0", "  -0 ", "1e-400"]
+                "1e", "1__0", "  -0 ", "1e-400", "1\x1f", "\x1cinf", " 2\x1d\x1e"]
+
+# Characters str.isspace() counts as whitespace; float() skips all but \x1c-\x1f.
+_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2007\u2028\u3000"
+_NUMBER_LIKE = st.builds(
+    "".join,
+    st.tuples(
+        st.text(_SPACES, max_size=2),
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(
+            st.from_regex(r"[0-9_\uff10-\uff19\u0660-\u0669.]{0,6}([eE][+-]?[0-9_]{0,4})?", fullmatch=True),
+            st.sampled_from(["inf", "Infinity", "iNfInItY", "nan", "NaN", "nan(1)", "0x1p3", "1e400", "1e-400"]),
+        ),
+        st.text(_SPACES, max_size=2),
+    ),
+)
+# One cell of a line as np.loadtxt sees it: no separator, no line end.
+_CELLS = st.one_of(_NUMBER_LIKE, st.floats().map(repr), st.text()).filter(
+    lambda c: not set(c) & set(",\r\n")
+)
+
+
+def _loadtxt_cell(cell):
+    """The fast path on a 2x2 file whose last cell is ``cell``."""
+    return dataio._loadtxt(["1,2", "3," + cell])
+
+
+def _bits(a) -> list:
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _column_cells(col, nan: str):
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        return ([str(v)] for v in col)
+    fmt = _fmt if nan == "nan" else lambda v: nan if math.isnan(v) else _fmt(v)
+    return (map(fmt, row.tolist()) for row in col.reshape(len(col), -1))
+
+
+def _reference_write_csv(path, header, columns, nan="nan"):
+    """The per-cell writer: csv.writer over f"{x:.17g}" cells, NaN as ``nan``,
+    other columns with str. dataio._write_csv must match it byte for byte."""
+    cells = [_column_cells(col, nan) for col in columns]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            out.writerow(header)
+        out.writerows(itertools.chain.from_iterable(row) for row in zip(*cells))
+
+
+def _nasty(rng, shape, finite=True):
+    """Floats over the whole double range: subnormals, +-0, 1e+-308, and
+    (unless ``finite``) +-inf and NaN."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-323, 308, size=shape)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e308, -1e308,
+                1.7976931348623157e308]
+    if not finite:
+        specials += [np.inf, -np.inf, np.nan]
+    pick = rng.random(shape) < 0.2
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    return x
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("fast path disabled")
+
+
+def _exact_matrix(path):
+    """The fallback reader called directly on the non-blank rows after a
+    file's header."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)][1:]
+    return dataio._read_rows(iter(rows), len(rows[0]), path)
+
+
+class _Spy:
+    """Counts the calls of a function and passes them on."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Spies on np.loadtxt (the fast path) and dataio._read_rows (the fallback)."""
+    fast, exact = _Spy(np.loadtxt), _Spy(dataio._read_rows)
+    monkeypatch.setattr(np, "loadtxt", fast)
+    monkeypatch.setattr(dataio, "_read_rows", exact)
+    return SimpleNamespace(fast=fast, exact=exact)
 
 
 class TestMvRoundTrip:
@@ -123,6 +224,8 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("cell", TRICKY_CELLS)
     def test_numpy_parses_a_cell_as_float_does(self, cell):
+        """numpy and the exact reader parse a cell as float() does; the fast
+        path does too, or raises and leaves the cell to the exact reader."""
         try:
             expected = float(cell)
         except ValueError:
@@ -130,11 +233,27 @@ class TestParseErrors:
                 np.array([[cell]], dtype=np.float64)
             with pytest.raises(ValidationError, match=r"field \(2, 2\)"):
                 _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
+            with pytest.raises(ValueError):
+                _loadtxt_cell(cell)
             return
         got = np.array([[cell]], dtype=np.float64)
         assert got.view(np.int64)[0, 0] == np.array(expected).view(np.int64)
         parsed = _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
         assert parsed.view(np.int64).tolist() == np.array([[1.0, 2.0], [3.0, expected]]).view(np.int64).tolist()
+        if cell == "1_0":  # only float() reads it: left to the exact reader
+            with pytest.raises(ValueError):
+                _loadtxt_cell(cell)
+        else:
+            assert _bits(_loadtxt_cell(cell)) == _bits([[1.0, 2.0], [3.0, expected]])
+
+    @given(cell=_CELLS)
+    def test_loadtxt_raises_or_returns_float_bits(self, cell):
+        """No cell parses on the fast path to anything but float()'s value."""
+        try:
+            got = _loadtxt_cell(cell)
+        except Exception:
+            return
+        assert _bits(got) == _bits([[1.0, 2.0], [3.0, float(cell)]])
 
     def test_blocks_read_as_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dataio, "_BLOCK_CELLS", 12)  # 3 rows of 4 fields per block
@@ -143,6 +262,10 @@ class TestParseErrors:
         path = tmp_path / "blocks.csv"
         write_mv_csv(path, d)
         back, _ = read_mv_csv(path)
+        assert back.values.view(np.int64).tolist() == d.values.view(np.int64).tolist()
+        with monkeypatch.context() as patch:  # the same file on the block reader
+            patch.setattr(np, "loadtxt", _no_loadtxt)
+            back, _ = read_mv_csv(path)
         assert back.values.view(np.int64).tolist() == d.values.view(np.int64).tolist()
         rows = path.read_text().splitlines()
         bad = rows[:8] + ["1,2,3,oops"] + rows[9:]  # data row 8, in the third block
@@ -178,6 +301,183 @@ class TestParseErrors:
         path.write_text("1.0,2.0\n\n3.0,4.0\n\n")
         back, _ = read_mv_csv(path)
         assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestFastPath:
+    """Clean files go through one np.loadtxt call; files only float() can
+    read go through the exact reader and give its matrix."""
+
+    def test_clean_file_skips_the_fallback(self, tmp_path, spies):
+        rng = np.random.default_rng(7)
+        d = Dataset(_nasty(rng, (200, 50)))
+        path = tmp_path / "clean.csv"
+        write_mv_csv(path, d)
+        back, _ = read_mv_csv(path)
+        assert (spies.fast.calls, spies.exact.calls) == (1, 0)
+        assert _bits(back.values) == _bits(d.values)
+
+    @pytest.mark.parametrize("dirty", [
+        lambda rows: rows[:3] + [" \t "] + rows[3:],
+        lambda rows: rows[:4] + ["1_0" + rows[4][rows[4].index(","):]] + rows[5:],
+        lambda rows: rows[:2] + ['"2.5"' + rows[2][rows[2].index(","):]] + rows[3:],
+    ], ids=["whitespace-line", "underscore", "quoted"])
+    def test_float_only_files_take_the_fallback(self, tmp_path, spies, dirty):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "dirty.csv"
+        write_mv_csv(path, Dataset(rng.normal(size=(20, 4))))
+        path.write_text("\n".join(dirty(path.read_text().splitlines())) + "\n")
+        back, _ = read_mv_csv(path)
+        assert (spies.fast.calls, spies.exact.calls) == (1, 1)
+        assert _bits(back.values) == _bits(_exact_matrix(path))
+        assert back.n_obs == 20
+
+    def test_cell_only_loadtxt_reads_stays_an_error(self, tmp_path, spies):
+        path = tmp_path / "sep.csv"
+        path.write_text("x,y\n1,2\n3,4\x1f\n")
+        with pytest.raises(ValidationError) as err:
+            read_mv_csv(path)
+        assert str(err.value) == f"{path}: cannot parse field (2, 2): '4\\x1f'"
+        assert (spies.fast.calls, spies.exact.calls) == (1, 1)
+
+    def test_fast_result_of_another_width_is_dropped(self, tmp_path, spies, monkeypatch):
+        path = tmp_path / "w.csv"
+        path.write_text("x,y\n1,2\n3,4\n")
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((2, 3)))
+        header, matrix = dataio._read_matrix(path)
+        assert (header, matrix.tolist()) == (["x", "y"], [[1.0, 2.0], [3.0, 4.0]])
+        assert spies.exact.calls == 1
+
+    @pytest.mark.parametrize("text, header, values", [
+        ("\n\n\nx,y\n1,2\n3,4\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
+        ('"a,b",c\n1,2\n3,4\n', ["a,b", "c"], [[1.0, 2.0], [3.0, 4.0]]),
+        ('"a\nb",c\n1,2\n', ["a\nb", "c"], [[1.0, 2.0]]),
+        ("x,y\r\n1,2\r\n\r\n3,4\r\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
+        ("x\n1.5\n-0\n\n2.5e-320\n", ["x"], [[1.5], [-0.0], [2.5e-320]]),
+        ("1.5\n2\n", None, [[1.5], [2.0]]),
+    ], ids=["leading-blank-lines", "quoted-comma-header", "quoted-newline-header", "crlf",
+            "single-column", "single-column-headerless"])
+    def test_layouts_on_the_fast_path(self, tmp_path, spies, text, header, values):
+        path = tmp_path / "layout.csv"
+        path.write_bytes(text.encode())
+        got_header, matrix = dataio._read_matrix(path)
+        assert (spies.fast.calls, spies.exact.calls) == (1, 0)
+        assert got_header == header
+        assert _bits(matrix) == _bits(values)
+
+
+class TestWritersByteStable:
+    """Every CSV writer matches the per-cell reference writer byte for byte,
+    and its numeric files read back bit for bit on both readers."""
+
+    @staticmethod
+    def _write_both(tmp_path, monkeypatch, write):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write(ours)
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_write_csv", _reference_write_csv)
+            write(ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        return ours
+
+    @staticmethod
+    def _both_readers(monkeypatch, read):
+        fast = read()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", _no_loadtxt)
+            exact = read()
+        return fast, exact
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_write_csv_any_floats(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        x = _nasty(rng, (30, 7), finite=False)
+        labels = rng.integers(1, 4, size=30).tolist()
+        header = ["a", "b,c", 'q"'] + [f"x{j}" for j in range(6)]
+        for nan in ("NA", "0", "nan"):
+            path = self._write_both(tmp_path, monkeypatch, lambda p: dataio._write_csv(
+                p, header, [x, labels, x[:, 2]], nan=nan))
+        for got_header, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
+            assert got_header == header
+            assert _bits(back) == _bits(np.column_stack([x, labels, x[:, 2]]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_write_mv_csv(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(10 + seed)
+        d = Dataset(_nasty(rng, (40, 9)))
+        truth = Partition(np.array([1, 2, 3, 3] * 10), 3)
+        named = Dataset(d.values, feature_names=tuple(f"x {j}" for j in range(9)))
+        for data, labels in ((d, None), (d, truth), (named, truth)):
+            path = self._write_both(tmp_path, monkeypatch, lambda p: write_mv_csv(p, data, labels))
+            col = None if labels is None else "label"
+            for back, t in self._both_readers(monkeypatch, lambda: read_mv_csv(path, truth_col=col)):
+                assert _bits(back.values) == _bits(d.values)
+                assert t == labels
+
+    def test_write_fd_csv(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        grid = np.concatenate([[0.0, 1e-300, 1e-200], np.sort(rng.uniform(1e-100, 1.0, 27))])
+        fd = Dataset(_nasty(rng, (6, 30)), grid=grid)
+        path = self._write_both(tmp_path, monkeypatch, lambda p: write_fd_csv(p, fd))
+        for back in self._both_readers(monkeypatch, lambda: read_fd_csv(path)):
+            assert _bits(back.grid) == _bits(fd.grid)
+            assert _bits(back.values) == _bits(fd.values)
+
+    def test_write_labels(self, tmp_path, monkeypatch):
+        part = Partition(np.array([3, 1, 2, 2, 1, 3, 3]), 3)
+        path = self._write_both(tmp_path, monkeypatch, lambda p: write_labels(p, part))
+        assert self._both_readers(monkeypatch, lambda: read_labels(path)) == (part, part)
+
+    def test_write_weight_vector(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        w = np.abs(rng.normal(size=60)) * 10.0 ** rng.integers(-323, 1, size=60)
+        w[[3, 4, 5, 6]] = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308]
+        w /= np.sqrt(np.sum(w * w)) * (1.0 + 1e-15)
+        wv = Weights(w, m=int(np.count_nonzero(w == 0.0)))
+        path = self._write_both(tmp_path, monkeypatch, lambda p: write_weight_vector(p, wv))
+        for _, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
+            assert _bits(back[:, 0]) == _bits(wv.w)
+
+    def test_write_weight_function(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(22)
+        grid = np.linspace(0.0, 1.0, 41)
+        w = np.abs(rng.normal(size=41)) * 10.0 ** rng.integers(-323, 1, size=41) * (grid > 0.5)
+        qw = trapezoid_weights(grid)
+        w /= np.sqrt(np.sum(qw * w * w)) * (1.0 + 1e-15)
+        wf = Weights(w, float(np.sum(qw[w == 0.0])), grid=grid)
+        path = self._write_both(tmp_path, monkeypatch, lambda p: write_weight_function(p, wf))
+        for header, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
+            assert header == ["x", "w"]
+            assert _bits(back) == _bits(np.column_stack([wf.grid, wf.w]))
+
+    def test_write_gap_curve(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        cols = [np.arange(1.0, 9.0)] + [_nasty(rng, (8,), finite=False) for _ in range(4)]
+        curve = GapCurve(*cols, np.isnan(cols[1]), 5)
+        path = self._write_both(tmp_path, monkeypatch, lambda p: write_gap_curve(p, curve))
+        for header, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
+            assert header[0] == "m"
+            assert _bits(back) == _bits(np.column_stack(cols))
+
+    @pytest.mark.parametrize("sd_zero", [False, True], ids=["NA", "0"])
+    def test_benchmark_reports(self, tmp_path, monkeypatch, sd_zero):
+        records = [SimpleNamespace(run=r, method=m, cer=c) for r, (m, c) in enumerate(
+            [("sparse", 0.125), ("standard", np.nan), ("sparse", 5e-324), ("standard", -0.0)])]
+        summaries = [SimpleNamespace(method="sparse", mean_cer=0.1, sd_cer=np.nan),
+                     SimpleNamespace(method="standard", mean_cer=np.inf, sd_cer=1e-308)]
+        out = {}
+        for name, writer in (("ours", dataio._write_csv), ("ref", _reference_write_csv)):
+            out[name] = tmp_path / name
+            out[name].mkdir()
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, "_write_csv", writer)
+                cli._write_benchmark_outputs(out[name], records, summaries, sd_zero)
+        for name in ("runs.csv", "report.csv"):
+            assert (out["ours"] / name).read_bytes() == (out["ref"] / name).read_bytes()
+        report = (out["ours"] / "report.csv").read_text().splitlines()
+        assert report[1] == "sparse,0.10000000000000001," + ("0" if sd_zero else "NA")
+        with open(out["ours"] / "runs.csv", newline="") as fh:
+            cers = [float(row[2]) for row in list(csv.reader(fh))[1:]]
+        assert _bits(cers) == _bits([rec.cer for rec in records])
 
 
 class TestFdRoundTrip:

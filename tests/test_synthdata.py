@@ -39,6 +39,16 @@ class TestMvScenario:
         with pytest.raises(ValidationError):
             MvScenario(p=6)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, "x", None])
+    def test_sigma_must_be_a_finite_real_at_least_0(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be a finite number >= 0"):
+            MvScenario(p=12, sigma=sigma)
+
+    def test_sigma_stored_as_float(self):
+        for sigma in (0, 1, np.float32(0.5)):
+            s = MvScenario(p=12, sigma=sigma)
+            assert type(s.sigma) is float and s.sigma == float(sigma)
+
     def test_gen_shapes_and_labels(self):
         s = MvScenario(p=12, q=4, n_per_class=7, seed=5)
         d, truth = gen_mv(s)
