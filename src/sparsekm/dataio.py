@@ -30,8 +30,8 @@ def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> Non
     ``columns`` lists the file's columns left to right. A float array is one
     column (1-d) or a block of columns (2-d); its cells are written with
     "%.17g", NaN as ``nan``. Any other sequence is one column written with
-    str; its cells are not quoted. Each data row is formatted with one format
-    string, one row at a time.
+    str, quoted as csv.writer quotes it. Each data row is formatted with one
+    format string, one row at a time.
     """
     fmts, cols = [], []
     for col in columns:
@@ -44,6 +44,8 @@ def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> Non
             fmts.append(",".join(["%.17g" if nan == "nan" else "%s"] * block.shape[1]))
         else:
             fmts.append("%s")
+            if any(isinstance(v, str) for v in col):
+                col = [_csv_cell(v) for v in col]
             cols.append((v,) for v in col)
     fmt = ",".join(fmts) + "\n"
     with open(path, "w", newline="") as fh:
@@ -51,6 +53,15 @@ def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> Non
             csv.writer(fh, lineterminator="\n").writerow(header)
         for parts in zip(*cols):
             fh.write(fmt % tuple(itertools.chain.from_iterable(parts)))
+
+
+def _csv_cell(value) -> str:
+    """str(value), in double quotes (inner quotes doubled) when it holds a
+    comma, a quote or a line end, as csv.writer writes a cell."""
+    cell = str(value)
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _parses_as_number(token: str) -> bool:
@@ -67,17 +78,21 @@ _LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 def _loadtxt(lines, skip: int = 0) -> np.ndarray:
     """The fast path: the float matrix of ``lines`` after the first ``skip``,
-    in one np.loadtxt call. Each cell it converts, it converts as float()
-    does. A cell only float() reads (1_0, full-width digits, a quoted cell,
-    a whitespace-only line) makes it raise, and so does a line holding one
-    of _LOADTXT_ONLY, which np.loadtxt alone would read."""
+    in one np.loadtxt call. Lines of blank cells (whitespace-only lines, or
+    spaces, tabs and commas) are skipped, as the exact reader skips them.
+    Each cell it converts, it converts as float() does. A cell only float()
+    reads (1_0, full-width digits, a quoted cell) makes it raise, and so
+    does a line holding one of _LOADTXT_ONLY, which np.loadtxt alone would
+    read."""
     def checked():
-        for line in lines:
+        for line in itertools.islice(lines, skip, None):
+            if line.isspace() or not line.strip(" \t\r\n,"):
+                continue
             if any(c in line for c in _LOADTXT_ONLY):
                 raise ValueError(f"{line!r} holds a character float() rejects")
             yield line
 
-    return np.loadtxt(checked(), skiprows=skip, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    return np.loadtxt(checked(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
 def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
@@ -85,11 +100,13 @@ def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
     matrix of a CSV file, skipping blank lines.
 
     A csv.reader pre-scan reads as far as the first data row: it decides the
-    header and finds an empty or header-only file. The lines after the
-    header are then parsed by _loadtxt, from a second handle that decodes
-    the file as the first does. If it raises, or its width differs from
-    the first row's, the pre-scan's reader goes on with _read_rows, which
-    names the first ragged row or bad cell."""
+    header and finds an empty or header-only file. When the file is
+    seekable, the lines after the header are then parsed by _loadtxt, from
+    a second handle that decodes the file as the first does; a pipe would
+    hand that handle only what the pre-scan has not buffered. If it raises,
+    or its width differs from the first row's, or the file is a pipe, the
+    pre-scan's reader goes on with _read_rows, which names the first ragged
+    row or bad cell."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -103,11 +120,13 @@ def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
                 first = next(rows, None)
                 if first is None:
                     raise EmptyData(f"{path} contains a header but no data rows")
-            try:
-                with open(path) as lines:
-                    matrix = _loadtxt(lines, skip)
-            except Exception:  # whatever np.loadtxt raises, the exact reader decides
-                matrix = None
+            matrix = None
+            if fh.seekable():
+                try:
+                    with open(path) as lines:
+                        matrix = _loadtxt(lines, skip)
+                except Exception:  # whatever np.loadtxt raises, the exact reader decides
+                    pass
             if matrix is None or matrix.shape[1] != len(first):
                 matrix = _read_rows(itertools.chain([first], rows), len(first), path)
     except OSError as exc:

@@ -2,6 +2,8 @@ import csv
 import itertools
 import json
 import math
+import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,10 +319,10 @@ class TestFastPath:
         assert _bits(back.values) == _bits(d.values)
 
     @pytest.mark.parametrize("dirty", [
-        lambda rows: rows[:3] + [" \t "] + rows[3:],
+        lambda rows: rows[:3] + ["\uff12" + rows[3][rows[3].index(","):]] + rows[4:],
         lambda rows: rows[:4] + ["1_0" + rows[4][rows[4].index(","):]] + rows[5:],
         lambda rows: rows[:2] + ['"2.5"' + rows[2][rows[2].index(","):]] + rows[3:],
-    ], ids=["whitespace-line", "underscore", "quoted"])
+    ], ids=["full-width-digit", "underscore", "quoted"])
     def test_float_only_files_take_the_fallback(self, tmp_path, spies, dirty):
         rng = np.random.default_rng(8)
         path = tmp_path / "dirty.csv"
@@ -354,8 +356,11 @@ class TestFastPath:
         ("x,y\r\n1,2\r\n\r\n3,4\r\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
         ("x\n1.5\n-0\n\n2.5e-320\n", ["x"], [[1.5], [-0.0], [2.5e-320]]),
         ("1.5\n2\n", None, [[1.5], [2.0]]),
+        (" \t\nx,y\n\x0c\n1,2\n \x1c \n3,4\n  ", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y\n1,2\n,\n \t, \n3,4\n,,\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
     ], ids=["leading-blank-lines", "quoted-comma-header", "quoted-newline-header", "crlf",
-            "single-column", "single-column-headerless"])
+            "single-column", "single-column-headerless", "whitespace-only-lines",
+            "blank-cell-lines"])
     def test_layouts_on_the_fast_path(self, tmp_path, spies, text, header, values):
         path = tmp_path / "layout.csv"
         path.write_bytes(text.encode())
@@ -363,6 +368,23 @@ class TestFastPath:
         assert (spies.fast.calls, spies.exact.calls) == (1, 0)
         assert got_header == header
         assert _bits(matrix) == _bits(values)
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path, spies):
+        """A pipe cannot be opened a second time from its start: it goes to
+        the exact reader alone, and every row arrives."""
+        rng = np.random.default_rng(9)
+        d = Dataset(_nasty(rng, (2000, 10)))  # far more than a pipe and a read buffer hold
+        path, fifo = tmp_path / "data.csv", tmp_path / "pipe"
+        write_mv_csv(path, d)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        back, _ = read_mv_csv(fifo)
+        writer.join(timeout=10)
+        assert (spies.fast.calls, spies.exact.calls) == (0, 1)
+        assert _bits(back.values) == _bits(d.values)
 
 
 class TestWritersByteStable:
@@ -457,6 +479,17 @@ class TestWritersByteStable:
         for header, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
             assert header[0] == "m"
             assert _bits(back) == _bits(np.column_stack(cols))
+
+    def test_str_cells_quoted(self, tmp_path, monkeypatch):
+        names = ["plain", "a,b", 'say "hi"', "two\nlines", "1"]
+        path = self._write_both(tmp_path, monkeypatch, lambda p: dataio._write_csv(
+            p, ["name", "v"], [names, np.arange(5.0)]))
+        with open(path, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["name"] + names
+        # csv.writer leaves a lone \r bare under a "\n" line end; _write_csv quotes it
+        dataio._write_csv(path, None, [["cr\rend"], [1]])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["cr\rend", "1"]]
 
     @pytest.mark.parametrize("sd_zero", [False, True], ids=["NA", "0"])
     def test_benchmark_reports(self, tmp_path, monkeypatch, sd_zero):
