@@ -106,7 +106,8 @@ def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
     hand that handle only what the pre-scan has not buffered. If it raises,
     or its width differs from the first row's, or the file is a pipe, the
     pre-scan's reader goes on with _read_rows, which names the first ragged
-    row or bad cell."""
+    row or bad cell. A file that cannot be opened, or does not decode in the
+    locale's encoding, raises ValidationError naming it."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -129,7 +130,7 @@ def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
                     pass
             if matrix is None or matrix.shape[1] != len(first):
                 matrix = _read_rows(itertools.chain([first], rows), len(first), path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     return header, matrix
 

@@ -2,7 +2,9 @@
 
 The weighted problem is reduced to plain Lloyd iteration by scaling each
 column by the square root of its (quadrature-adjusted) weight; centroids
-in that transformed space are ordinary cluster means. The alternating
+in that transformed space are ordinary cluster means. When the transformed
+matrix has more columns than rows, Lloyd runs on the Cholesky factor of its
+row Gram matrix, which has the same distances. The alternating
 loop then cycles dispersion -> weights -> partition until a partition
 repeats.
 """
@@ -180,6 +182,33 @@ def _transformed_matrix(d, w) -> np.ndarray:
     return d.values[:, active] * np.sqrt(scale[active])[None, :]
 
 
+def _row_factor(z: np.ndarray) -> np.ndarray:
+    """An n-column matrix with the row inner products of z, or z itself.
+
+    K-means reads z only through the inner products of its rows. When z has
+    more columns than rows, the lower Cholesky factor L of z zᵀ is L = zQ,
+    with Q = zᵀL⁻ᵀ orthonormal on the row space of z, so every row-to-row
+    and row-to-mean distance keeps its exact value, and a Lloyd step costs
+    n² in place of n·a. z itself is returned when it has no more columns
+    than rows, when two rows are equal (counting -0.0 as 0.0, as np.unique
+    does), since the factor would make them only nearly equal, or when z zᵀ
+    is singular or not finite.
+    """
+    n, a = z.shape
+    if a <= n:
+        return z
+    # distinct first entries settle it; only a tie there needs whole rows
+    if np.unique(z[:, 0]).size < n and len({row.tobytes() for row in z + 0.0}) < n:
+        return z
+    gram = z @ z.T
+    if not np.isfinite(gram).all():
+        return z
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return z
+
+
 @functools.lru_cache(maxsize=1024)
 def _restart_state(seed: int, r: int) -> dict:
     """PCG64 state dict of restart r's stream, derived once per (seed, r); never mutated."""
@@ -231,7 +260,7 @@ def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = 
     ``cfg.k`` sets the number of clusters. An optional ``init_partition``
     joins the restart pool as a warm start and wins ties.
     """
-    z = _transformed_matrix(d, w)
+    z = _row_factor(_transformed_matrix(d, w))
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
     return part
 

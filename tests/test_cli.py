@@ -124,6 +124,21 @@ class TestCluster:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n1,2\n3,4\xff\n")
+        try:
+            path.read_text()
+        except UnicodeDecodeError:
+            pass
+        else:
+            pytest.skip("the locale's encoding decodes every byte")
+        out = tmp_path / "o"
+        code = run_cli("cluster", "--input", path, "--k", "2", "--m", "1", "--out", out)
+        assert code == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "const.csv"
         path.write_text("1.0,2.0,3.0\n" * 8)

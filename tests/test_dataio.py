@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import locale
 import math
 import os
 import threading
@@ -35,6 +36,13 @@ from sparsekm.datatypes import (
 from sparsekm.errors import EmptyData, GridMismatch, ValidationError
 from sparsekm.metrics import cer
 from sparsekm.tuning import GapCurve
+
+# Whether a 0xff byte fails to decode in the encoding open() uses by default.
+try:
+    b"\xff".decode(locale.getpreferredencoding(False))
+    UNDECODABLE = False
+except UnicodeDecodeError:
+    UNDECODABLE = True
 
 # Cells on which a whole-file numpy conversion could part ways with float().
 TRICKY_CELLS = ["1_0", " 1.5", "infinity", "1e400", "0x10", "", "-NaN", "\t3\n", "1,5",
@@ -285,6 +293,15 @@ class TestParseErrors:
         path = tmp_path / "nope.csv"
         with pytest.raises(ValidationError, match="nope.csv"):
             read_mv_csv(path)
+
+    @pytest.mark.skipif(not UNDECODABLE, reason="the locale's encoding decodes every byte")
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n1,2\n3,4\xff\n")
+        with pytest.raises(ValidationError, match=r"^cannot read .*latin\.csv: .*decode"):
+            read_mv_csv(path)
+        with pytest.raises(ValidationError, match=r"^cannot read .*latin\.csv: .*decode"):
+            read_fd_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

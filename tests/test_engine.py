@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsekm import engine
@@ -16,6 +16,7 @@ from sparsekm.engine import (
     _cluster_means,
     _kmeanspp_init,
     _lloyd,
+    _row_factor,
     _row_sq_norms,
     _transformed_matrix,
     soft_sparse_kmeans_mv,
@@ -577,6 +578,57 @@ class TestMergeStop:
         assert steps[0] < ref_steps[0]
 
 
+class TestRowFactor:
+    """Where z has more columns than rows, Lloyd runs on the lower Cholesky
+    factor of z zᵀ, an n-column matrix with the same row inner products."""
+
+    def test_z_itself_when_the_factor_would_not_do(self):
+        # On these rows np.linalg.cholesky of the singular Gram matrices of
+        # repeated and signed returns a factor without raising; only the
+        # duplicate check returns z.
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(6, 9))
+        repeated = np.r_[z, z[2:3]]
+        # rows 1 and 4 are equal up to the sign of their zeros
+        signed = z.copy()
+        signed[1, [0, 5]] = 0.0
+        signed[4] = signed[1]
+        signed[4, [0, 5]] = -0.0
+        infinite = z.copy()
+        infinite[3, 5] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            for case in (z[:, :6], repeated, signed, infinite):
+                assert _row_factor(case) is case
+
+    def test_lower_factor_of_the_gram_matrix(self):
+        rng = np.random.default_rng(41)
+        for n, a in ((2, 3), (8, 9), (24, 120), (60, 400)):
+            z = rng.normal(size=(n, a)) * rng.uniform(0.1, 10.0, size=a)
+            z[1, 0] = z[0, 0]  # a tie in the first column, distinct rows
+            factor = _row_factor(z)
+            gram = z @ z.T
+            assert factor.shape == (n, n)
+            assert np.array_equal(factor, np.tril(factor))
+            assert np.abs(factor @ factor.T - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    def test_same_partition_as_reference_on_wide_cases(self):
+        """The factor changes Lloyd's arithmetic, not its answer: the
+        reference's partition and WCSS to 1e-12 on every case with more
+        columns than rows."""
+        checked = 0
+        for z, cfg, warm in itertools.chain(lloyd_cases(), wide_lloyd_cases()):
+            if z.shape[1] <= z.shape[0]:
+                continue
+            factor = _row_factor(z)
+            assert factor.shape == (z.shape[0], z.shape[0])
+            want = _ref_best_weighted_lloyd(z, cfg, warm, [0])
+            got = _best_weighted_lloyd(factor, cfg, warm)
+            assert got[0] == want[0]
+            assert abs(got[1] - want[1]) <= 1e-12 * want[1]
+            checked += 1
+        assert checked == 30
+
+
 class TestPowerOfTwoScale:
     """Scaling the data by 2**e is exact, so the fit must not see it: the
     same labels and weights, and the objective scaled by exactly 4**e."""
@@ -585,6 +637,16 @@ class TestPowerOfTwoScale:
     @given(seed=st.integers(0, 10_000), e=st.integers(-300, 300))
     def test_vectors(self, seed, e):
         d, _ = gen_mv(MvScenario(p=12, q=4, n_per_class=8, seed=seed))
+        cfg = KMeansConfig(n_init=3, seed=seed)
+        base = sparse_kmeans_mv(d, 3, 6, cfg)
+        scaled = sparse_kmeans_mv(Dataset(d.values * 2.0**e), 3, 6, cfg)
+        self._assert_scaled(base, scaled, e)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 10_000), e=st.integers(-300, 300))
+    def test_wide_vectors(self, seed, e):
+        """More columns than rows: Lloyd runs on the row factor."""
+        d, _ = gen_mv(MvScenario(p=120, q=4, n_per_class=8, seed=seed))
         cfg = KMeansConfig(n_init=3, seed=seed)
         base = sparse_kmeans_mv(d, 3, 6, cfg)
         scaled = sparse_kmeans_mv(Dataset(d.values * 2.0**e), 3, 6, cfg)
@@ -621,6 +683,13 @@ class TestOverflow:
         fd, _ = gen_fd(FdScenario(seed=0))
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
             sparse_kmeans_fd(Dataset(fd.values * 1e160, grid=fd.grid), 2, 0.5, KMeansConfig())
+
+    def test_wide_vectors(self):
+        """60 rows of 200 columns: the Gram matrix overflows, so Lloyd runs
+        on z itself and fails as narrow data does."""
+        d, _ = gen_mv(MvScenario(p=200, seed=0))
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
+            sparse_kmeans_mv(Dataset(d.values * 1e160), 3, 100, KMeansConfig())
 
 
 class TestKindOfData:
@@ -675,3 +744,23 @@ class TestDuplicateRows:
         assert np.all(np.bincount(res.partition.labels, minlength=k + 1)[1:] > 0)
         trace = res.objective_trace
         assert all(b >= a - objective_slack(a) for a, b in zip(trace, trace[1:]))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        reps=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+        extra=st.integers(1, 20),
+        signed=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    def test_too_few_distinct_rows_at_wide_shapes(self, seed, reps, extra, signed):
+        """More columns than rows, and some copies carry -0.0 where their
+        row has 0.0: k = distinct rows + 1 still cannot be filled."""
+        assume(sum(reps) > len(reps))
+        rng = np.random.default_rng(seed)
+        values = np.repeat(rng.normal(size=(len(reps), sum(reps) + extra)), reps, axis=0)
+        values[:, [0, -1]] = 0.0
+        for i in np.flatnonzero(signed[: len(values)]):
+            values[i, [0, -1][i % 2]] = -0.0
+        d = Dataset(values[rng.permutation(len(values))])
+        k = len(reps) + 1
+        with pytest.raises(TooFewDistinctRows, match=f"{len(reps)} distinct rows for k={k}"):
+            weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=k, n_init=3, seed=seed))
