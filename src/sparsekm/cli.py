@@ -9,6 +9,7 @@ input or validation problems.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .engine import (
     sparse_kmeans_fd,
     sparse_kmeans_mv,
 )
-from .errors import NumericalError, ValidationError
+from .errors import LengthMismatch, NumericalError, ValidationError
 from .experiments import (
     default_gaussian_m,
     GAUSSIAN_DEFAULT_S,
@@ -35,10 +36,12 @@ from .tuning import tune_m_fd, tune_m_mv
 
 
 def _add_engine_args(sub):
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--n-init", type=int, default=10, help="restarts per K-means run")
-    sub.add_argument("--max-iter-outer", type=int, default=20)
-    sub.add_argument("--max-iter-lloyd", type=int, default=100)
+    default = KMeansConfig()
+    sub.add_argument("--seed", type=int, default=default.seed,
+                     help=f"master seed (default {default.seed})")
+    sub.add_argument("--n-init", type=int, default=default.n_init, help="restarts per K-means run")
+    sub.add_argument("--max-iter-outer", type=int, default=default.max_iter_outer)
+    sub.add_argument("--max-iter-lloyd", type=int, default=default.max_iter_lloyd)
 
 
 def _cfg_from(args, k: int) -> KMeansConfig:
@@ -104,6 +107,10 @@ def cmd_cluster(args) -> int:
 def cmd_fcluster(args) -> int:
     data = dataio.read_fd_csv(args.input)
     truth = dataio.read_labels(args.truth) if args.truth else None
+    if truth is not None and truth.n_obs != data.n_obs:
+        raise LengthMismatch(
+            f"{args.truth}: {truth.n_obs} labels for the {data.n_obs} curves of {args.input}"
+        )
     result = sparse_kmeans_fd(data, args.k, args.m, _cfg_from(args, args.k))
     return _write_fit(args, result, truth, "weight_function.csv", dataio.write_weight_function, {
         "command": "fcluster",
@@ -157,11 +164,12 @@ def _write_benchmark_outputs(out: Path, records, summaries, sd_zero: bool) -> No
         [rec.method for rec in records],
         np.array([rec.cer for rec in records], dtype=np.float64),
     ])
+    undefined = "0" if sd_zero else "NA"
     dataio._write_csv(out / "report.csv", ["method", "mean_cer", "sd_cer"], [
         [s.method for s in summaries],
         np.array([s.mean_cer for s in summaries], dtype=np.float64),
-        np.array([s.sd_cer for s in summaries], dtype=np.float64),
-    ], nan="0" if sd_zero else "NA")
+        [undefined if math.isnan(s.sd_cer) else "%.17g" % s.sd_cer for s in summaries],
+    ])
 
 
 def cmd_simulate(args) -> int:

@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -21,27 +22,24 @@ from .errors import EmptyData, LengthMismatch, ValidationError
 from .tuning import GapCurve
 
 SUMMARY_SCHEMA = 1
-_BLOCK_CELLS = 1 << 13  # cells converted per block when a CSV file is read
+_BLOCK_CELLS = 1 << 14  # cells per block of lines np.loadtxt parses when a CSV file is read
 
 
-def _write_csv(path, header: list[str] | None, columns, nan: str = "nan") -> None:
+def _write_csv(path, header: list[str] | None, columns) -> None:
     """Write a CSV file: comma separator, "\n" line ends, an optional header row.
 
     ``columns`` lists the file's columns left to right. A float array is one
     column (1-d) or a block of columns (2-d); its cells are written with
-    "%.17g", NaN as ``nan``. Any other sequence is one column written with
-    str, quoted as csv.writer quotes it. Each data row is formatted with one
-    format string, one row at a time.
+    "%.17g". Any other sequence is one column written with str, quoted as
+    csv.writer quotes it. Each data row is formatted with one format string,
+    one row at a time.
     """
     fmts, cols = [], []
     for col in columns:
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
             block = col.reshape(len(col), -1)
-            if nan == "nan":
-                cols.append(row.tolist() for row in block)
-            else:
-                cols.append([nan if math.isnan(v) else "%.17g" % v for v in row.tolist()] for row in block)
-            fmts.append(",".join(["%.17g" if nan == "nan" else "%s"] * block.shape[1]))
+            cols.append(row.tolist() for row in block)
+            fmts.append(",".join(["%.17g"] * block.shape[1]))
         else:
             fmts.append("%s")
             if any(isinstance(v, str) for v in col):
@@ -76,105 +74,91 @@ def _parses_as_number(token: str) -> bool:
 _LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
-def _loadtxt(lines, skip: int = 0) -> np.ndarray:
-    """The fast path: the float matrix of ``lines`` after the first ``skip``,
-    in one np.loadtxt call. Lines of blank cells (whitespace-only lines, or
-    spaces, tabs and commas) are skipped, as the exact reader skips them.
-    Each cell it converts, it converts as float() does. A cell only float()
-    reads (1_0, full-width digits, a quoted cell) makes it raise, and so
-    does a line holding one of _LOADTXT_ONLY, which np.loadtxt alone would
-    read."""
-    def checked():
-        for line in itertools.islice(lines, skip, None):
-            if line.isspace() or not line.strip(" \t\r\n,"):
-                continue
-            if any(c in line for c in _LOADTXT_ONLY):
-                raise ValueError(f"{line!r} holds a character float() rejects")
-            yield line
+def _loadtxt(lines) -> np.ndarray | None:
+    """The fast path: the float matrix of ``lines`` in one np.loadtxt call, or
+    None when every line is blank. Lines of blank cells (whitespace-only
+    lines, or spaces, tabs and commas) are skipped, as the exact reader
+    skips them. Each cell it converts, it converts as float() does. A cell
+    only float() reads (1_0, full-width digits, a quoted cell) makes it
+    raise, and so does a line holding one of _LOADTXT_ONLY, which
+    np.loadtxt alone would read."""
+    kept = []
+    for line in lines:
+        if line.isspace() or not line.strip(" \t\r\n,"):
+            continue
+        if any(c in line for c in _LOADTXT_ONLY):
+            raise ValueError(f"{line!r} holds a character float() rejects")
+        kept.append(line)
+    if not kept:
+        return None
+    return np.loadtxt(kept, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
-    return np.loadtxt(checked(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+def _data_rows(lines):
+    """The rows of csv.reader(lines) that hold a non-blank cell."""
+    return (row for row in csv.reader(lines) if any(cell.strip() for cell in row))
 
 
 def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
     """The header (None when the first row parses as a number) and the float
-    matrix of a CSV file, skipping blank lines.
+    matrix of a CSV file, skipping blank lines, in one pass over one handle.
 
     A csv.reader pre-scan reads as far as the first data row: it decides the
-    header and finds an empty or header-only file. When the file is
-    seekable, the lines after the header are then parsed by _loadtxt, from
-    a second handle that decodes the file as the first does; a pipe would
-    hand that handle only what the pre-scan has not buffered. If it raises,
-    or its width differs from the first row's, or the file is a pipe, the
-    pre-scan's reader goes on with _read_rows, which names the first ragged
-    row or bad cell. A file that cannot be opened, or does not decode in the
-    locale's encoding, raises ValidationError naming it."""
+    header and finds an empty or header-only file. The lines after that row
+    go to _loadtxt in blocks of about _BLOCK_CELLS cells. The first block it
+    raises on, or reads at another width than the first row's, and the rest
+    of the file go to _read_rows, which names the first ragged row or bad
+    cell. A file that cannot be opened, or does not decode in the locale's
+    encoding, raises ValidationError naming it."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = (row for row in reader if any(cell.strip() for cell in row))
+            rows = _data_rows(fh)
             first = next(rows, None)
             if first is None:
                 raise EmptyData(f"{path} contains no data")
-            header, skip = None, 0
+            header = None
             if not _parses_as_number(first[0].strip()):
-                header, skip = [cell.strip() for cell in first], reader.line_num
+                header = [cell.strip() for cell in first]
                 first = next(rows, None)
                 if first is None:
                     raise EmptyData(f"{path} contains a header but no data rows")
-            matrix = None
-            if fh.seekable():
+            width = len(first)
+            blocks = [_read_rows([first], width, path)]
+            n_read, block_lines = 1, max(1, _BLOCK_CELLS // width)
+            while block := list(itertools.islice(fh, block_lines)):
                 try:
-                    with open(path) as lines:
-                        matrix = _loadtxt(lines, skip)
+                    matrix = _loadtxt(block)
                 except Exception:  # whatever np.loadtxt raises, the exact reader decides
                     pass
-            if matrix is None or matrix.shape[1] != len(first):
-                matrix = _read_rows(itertools.chain([first], rows), len(first), path)
+                else:
+                    if matrix is None:  # blank lines only
+                        continue
+                    if matrix.shape[1] == width:
+                        blocks.append(matrix)
+                        n_read += len(matrix)
+                        continue
+                rest = _data_rows(itertools.chain(block, fh))
+                blocks.append(_read_rows(rest, width, path, n_read))
+                break
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return header, matrix
+    return header, np.concatenate(blocks)
 
 
-def _read_rows(rows, width: int, path) -> np.ndarray:
-    """The exact reader: data rows of cells, converted in blocks of about
-    _BLOCK_CELLS cells as they are yielded, so the file is never held as one
-    Python string per cell."""
-    n_read, blocks = 0, []
-    block_rows = max(1, _BLOCK_CELLS // width)
-    while block := list(itertools.islice(rows, block_rows)):
-        blocks.append(_parse_matrix(block, path, width, n_read))
-        n_read += len(block)
-    return np.concatenate(blocks)
-
-
-def _parse_matrix(rows: list[list[str]], path, width: int | None = None, offset: int = 0) -> np.ndarray:
-    """Rows of cells as a float matrix, converted in one call; numpy parses a
-    cell exactly as float() does. ``rows`` are the file's data rows
-    offset + 1, offset + 2, ..., and each must have ``width`` fields (by
-    default, as many as the first). Only a ragged or unparseable block takes
-    the per-cell loop, which names the first bad row or cell."""
-    width = len(rows[0]) if width is None else width
-    try:
-        out = np.array(rows, dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if out.shape[1] == width:
-            return out
-    out = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
+def _read_rows(rows, width: int, path, offset: int = 0) -> np.ndarray:
+    """The exact reader: data rows offset + 1, offset + 2, ... of cells, each
+    converted by float() as it is yielded, so the file is never held as one
+    Python string per cell. It names the first ragged row or bad cell."""
+    out = array("d")
+    for i, row in enumerate(rows, offset + 1):
         if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {offset + i + 1} has {len(row)} fields, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: cannot parse field ({offset + i + 1}, {j + 1}): {cell!r}"
-                ) from None
-    return out
+            raise ValidationError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        try:
+            out.extend(map(float, row))
+        except ValueError:
+            j = next(j for j, cell in enumerate(row) if not _parses_as_number(cell))
+            raise ValidationError(f"{path}: cannot parse field ({i}, {j + 1}): {row[j]!r}") from None
+    return np.frombuffer(out, dtype=np.float64).reshape(-1, width)
 
 
 def _resolve_column(spec: str, header: list[str] | None, width: int, path) -> int:

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import sparsekm
-from sparsekm.cli import main
+from sparsekm import cli
+from sparsekm.cli import build_parser, main
 from sparsekm.dataio import read_labels, write_fd_csv, write_labels, write_mv_csv
 from sparsekm.datatypes import Dataset, Partition
+from sparsekm.engine import KMeansConfig
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 
@@ -34,6 +36,10 @@ def fd_csv(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("the fit ran")
 
 
 def assert_lf_csvs(out):
@@ -228,6 +234,20 @@ class TestFcluster:
         labels = read_labels(out / "labels.csv")
         assert labels.n_obs == 40
 
+    def test_truth_of_another_length_exits_2_before_the_fit(self, fd_csv, tmp_path, capsys,
+                                                             monkeypatch):
+        curves, _ = fd_csv
+        truth = tmp_path / "short_truth.csv"
+        write_labels(truth, Partition(np.array([1, 2, 1]), 2))
+        monkeypatch.setattr(cli, "sparse_kmeans_fd", _no_fit)
+        out = tmp_path / "out"
+        code = run_cli("fcluster", "--input", curves, "--k", "2", "--m", "0.4",
+                       "--truth", truth, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: 3 labels for the 40 curves of {curves}" in err
+        assert not out.exists()
+
     def test_non_monotone_grid_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.0,0.7,0.3,1.0\n1,2,3,4\n5,6,7,8\n")
@@ -418,6 +438,18 @@ class TestSimulate:
                 "--out", out,
             ) == 0
         assert (out1 / "runs.csv").read_text() == (out2 / "runs.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--input", "x.csv", "--k", "2"],
+    ["fcluster", "--input", "x.csv", "--k", "2", "--m", "0.5"],
+    ["tune", "--input", "x.csv", "--k", "2"],
+], ids=["cluster", "fcluster", "tune"])
+def test_engine_flags_default_to_kmeans_config(argv):
+    args = build_parser().parse_args(argv)
+    default = KMeansConfig()
+    for field in ("seed", "n_init", "max_iter_outer", "max_iter_lloyd"):
+        assert getattr(args, field) == getattr(default, field), field
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -2,9 +2,9 @@ import csv
 import itertools
 import json
 import locale
-import math
 import os
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from sparsekm import cli, dataio
 from sparsekm.dataio import (
-    _parse_matrix,
     read_fd_csv,
     read_labels,
     read_mv_csv,
@@ -81,17 +80,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _column_cells(col, nan: str):
+def _column_cells(col):
     if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
         return ([str(v)] for v in col)
-    fmt = _fmt if nan == "nan" else lambda v: nan if math.isnan(v) else _fmt(v)
-    return (map(fmt, row.tolist()) for row in col.reshape(len(col), -1))
+    return (map(_fmt, row.tolist()) for row in col.reshape(len(col), -1))
 
 
-def _reference_write_csv(path, header, columns, nan="nan"):
-    """The per-cell writer: csv.writer over f"{x:.17g}" cells, NaN as ``nan``,
-    other columns with str. dataio._write_csv must match it byte for byte."""
-    cells = [_column_cells(col, nan) for col in columns]
+def _reference_write_csv(path, header, columns):
+    """The per-cell writer: csv.writer over f"{x:.17g}" cells, other columns
+    with str. dataio._write_csv must match it byte for byte."""
+    cells = [_column_cells(col) for col in columns]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         if header is not None:
@@ -125,19 +123,29 @@ def _exact_matrix(path):
 
 
 class _Spy:
-    """Counts the calls of a function and passes them on."""
+    """Passes each call of a function on, keeping the items of its first
+    argument: the lines np.loadtxt parses, the rows _read_rows converts."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.seen = fn, []
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
+    def __call__(self, items, *args, **kwargs):
+        items = list(items)
+        self.seen.append(items)
+        return self.fn(items, *args, **kwargs)
+
+    @property
+    def calls(self) -> int:
+        return len(self.seen)
+
+    def items(self) -> list:
+        return list(itertools.chain.from_iterable(self.seen))
 
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Spies on np.loadtxt (the fast path) and dataio._read_rows (the fallback)."""
+    """Spies on np.loadtxt (the fast path) and dataio._read_rows (the exact
+    reader, which also converts the first data row)."""
     fast, exact = _Spy(np.loadtxt), _Spy(dataio._read_rows)
     monkeypatch.setattr(np, "loadtxt", fast)
     monkeypatch.setattr(dataio, "_read_rows", exact)
@@ -242,13 +250,13 @@ class TestParseErrors:
             with pytest.raises(ValueError):
                 np.array([[cell]], dtype=np.float64)
             with pytest.raises(ValidationError, match=r"field \(2, 2\)"):
-                _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
+                dataio._read_rows([["1", "2"], ["3", cell]], 2, "f.csv")
             with pytest.raises(ValueError):
                 _loadtxt_cell(cell)
             return
         got = np.array([[cell]], dtype=np.float64)
         assert got.view(np.int64)[0, 0] == np.array(expected).view(np.int64)
-        parsed = _parse_matrix([["1", "2"], ["3", cell]], "f.csv")
+        parsed = dataio._read_rows([["1", "2"], ["3", cell]], 2, "f.csv")
         assert parsed.view(np.int64).tolist() == np.array([[1.0, 2.0], [3.0, expected]]).view(np.int64).tolist()
         if cell == "1_0":  # only float() reads it: left to the exact reader
             with pytest.raises(ValueError):
@@ -323,8 +331,10 @@ class TestParseErrors:
 
 
 class TestFastPath:
-    """Clean files go through one np.loadtxt call; files only float() can
-    read go through the exact reader and give its matrix."""
+    """After the first data row, which the pre-scan hands to the exact
+    reader, clean lines go to np.loadtxt in blocks; from the first block it
+    cannot read, the exact reader takes the rest of the file and gives its
+    matrix. No line reaches np.loadtxt twice."""
 
     def test_clean_file_skips_the_fallback(self, tmp_path, spies):
         rng = np.random.default_rng(7)
@@ -332,7 +342,8 @@ class TestFastPath:
         path = tmp_path / "clean.csv"
         write_mv_csv(path, d)
         back, _ = read_mv_csv(path)
-        assert (spies.fast.calls, spies.exact.calls) == (1, 0)
+        assert [len(rows) for rows in spies.exact.seen] == [1]
+        assert spies.fast.items() == path.read_text().splitlines(keepends=True)[2:]
         assert _bits(back.values) == _bits(d.values)
 
     @pytest.mark.parametrize("dirty", [
@@ -340,13 +351,21 @@ class TestFastPath:
         lambda rows: rows[:4] + ["1_0" + rows[4][rows[4].index(","):]] + rows[5:],
         lambda rows: rows[:2] + ['"2.5"' + rows[2][rows[2].index(","):]] + rows[3:],
     ], ids=["full-width-digit", "underscore", "quoted"])
-    def test_float_only_files_take_the_fallback(self, tmp_path, spies, dirty):
+    def test_float_only_files_take_the_fallback(self, tmp_path, spies, dirty, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 8)  # 2 lines of 4 fields per block
         rng = np.random.default_rng(8)
         path = tmp_path / "dirty.csv"
         write_mv_csv(path, Dataset(rng.normal(size=(20, 4))))
         path.write_text("\n".join(dirty(path.read_text().splitlines())) + "\n")
         back, _ = read_mv_csv(path)
-        assert (spies.fast.calls, spies.exact.calls) == (1, 1)
+        # np.loadtxt saw the lines after the first data row up to the end of
+        # the block it raised on, each once; the exact reader got the first
+        # row, then the rows from that block on.
+        parsed = spies.fast.items()
+        assert parsed == path.read_text().splitlines(keepends=True)[2:2 + len(parsed)]
+        failing = len(parsed) - 2
+        assert [len(rows) for rows in spies.exact.seen] == [1, 19 - failing]
+        assert spies.exact.seen[1][0] == next(csv.reader([parsed[failing]]))
         assert _bits(back.values) == _bits(_exact_matrix(path))
         assert back.n_obs == 20
 
@@ -356,7 +375,8 @@ class TestFastPath:
         with pytest.raises(ValidationError) as err:
             read_mv_csv(path)
         assert str(err.value) == f"{path}: cannot parse field (2, 2): '4\\x1f'"
-        assert (spies.fast.calls, spies.exact.calls) == (1, 1)
+        # _loadtxt rejects the line before np.loadtxt sees it
+        assert (spies.fast.calls, [len(rows) for rows in spies.exact.seen]) == (0, [1, 1])
 
     def test_fast_result_of_another_width_is_dropped(self, tmp_path, spies, monkeypatch):
         path = tmp_path / "w.csv"
@@ -364,7 +384,7 @@ class TestFastPath:
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((2, 3)))
         header, matrix = dataio._read_matrix(path)
         assert (header, matrix.tolist()) == (["x", "y"], [[1.0, 2.0], [3.0, 4.0]])
-        assert spies.exact.calls == 1
+        assert [len(rows) for rows in spies.exact.seen] == [1, 1]
 
     @pytest.mark.parametrize("text, header, values", [
         ("\n\n\nx,y\n1,2\n3,4\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
@@ -375,22 +395,24 @@ class TestFastPath:
         ("1.5\n2\n", None, [[1.5], [2.0]]),
         (" \t\nx,y\n\x0c\n1,2\n \x1c \n3,4\n  ", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
         ("x,y\n1,2\n,\n \t, \n3,4\n,,\n", ["x", "y"], [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y\r1,2\r\r3,4\r5,6", ["x", "y"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
     ], ids=["leading-blank-lines", "quoted-comma-header", "quoted-newline-header", "crlf",
             "single-column", "single-column-headerless", "whitespace-only-lines",
-            "blank-cell-lines"])
+            "blank-cell-lines", "cr-only"])
     def test_layouts_on_the_fast_path(self, tmp_path, spies, text, header, values):
         path = tmp_path / "layout.csv"
         path.write_bytes(text.encode())
         got_header, matrix = dataio._read_matrix(path)
-        assert (spies.fast.calls, spies.exact.calls) == (1, 0)
+        # every data row after the first reaches np.loadtxt once, blank lines never
+        assert [len(rows) for rows in spies.exact.seen] == [1]
+        assert len(spies.fast.items()) == len(values) - 1
         assert got_header == header
         assert _bits(matrix) == _bits(values)
 
-
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_whole(self, tmp_path, spies):
-        """A pipe cannot be opened a second time from its start: it goes to
-        the exact reader alone, and every row arrives."""
+        """A pipe is read through the pre-scan's own handle: it takes the
+        fast path, and every row arrives."""
         rng = np.random.default_rng(9)
         d = Dataset(_nasty(rng, (2000, 10)))  # far more than a pipe and a read buffer hold
         path, fifo = tmp_path / "data.csv", tmp_path / "pipe"
@@ -400,8 +422,69 @@ class TestFastPath:
         writer.start()
         back, _ = read_mv_csv(fifo)
         writer.join(timeout=10)
-        assert (spies.fast.calls, spies.exact.calls) == (0, 1)
+        assert [len(rows) for rows in spies.exact.seen] == [1]
+        assert len(spies.fast.items()) == 1999
         assert _bits(back.values) == _bits(d.values)
+
+    def test_late_quoted_cell_parsed_once(self, tmp_path, spies, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 20)  # 5 lines of 4 fields per block
+        rng = np.random.default_rng(10)
+        d = Dataset(_nasty(rng, (40, 4)))
+        path = tmp_path / "late.csv"
+        write_mv_csv(path, d)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[33] = '"' + lines[33].replace(",", '",', 1)  # data row 33, in the block of rows 32-36
+        path.write_text("".join(lines))
+        back, _ = read_mv_csv(path)
+        assert spies.fast.items() == lines[2:37]
+        assert [len(rows) for rows in spies.exact.seen] == [1, 9]
+        assert _bits(back.values) == _bits(_exact_matrix(path))
+        assert _bits(back.values) == _bits(d.values)
+
+    def test_quoted_newline_across_blocks(self, tmp_path, spies, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 6)  # 3 lines of 2 fields per block
+        text = 'x,y\n1,2\n3,4\n5,6\n7,8\n9,10\n11,12\n13,"14.5\n"\n15,16\n'
+        path = tmp_path / "straddle.csv"
+        path.write_text(text)
+        header, matrix = dataio._read_matrix(path)
+        assert header == ["x", "y"]
+        want = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0], [11.0, 12.0],
+                [13.0, 14.5], [15.0, 16.0]]
+        # the quote opens on the last line of the second block and closes in the third
+        assert [len(rows) for rows in spies.exact.seen] == [1, 4]
+        assert _bits(matrix) == _bits(want)
+        assert _bits(matrix) == _bits(_exact_matrix(path))
+
+    @pytest.mark.parametrize("row, bad, message", [
+        (9, "1,2,3", "row 9 has 3 fields, expected 4"),
+        (11, "1,oops,3,4", "cannot parse field (11, 2): 'oops'"),
+    ], ids=["ragged", "bad-cell"])
+    def test_late_errors_named_by_file_row(self, tmp_path, monkeypatch, row, bad, message):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 8)  # 2 lines of 4 fields per block
+        lines = ["a,b,c,d"] + [f"{i},{i}.5,-{i},{i}e-3" for i in range(1, 13)]
+        lines[row] = bad
+        lines[3:3] = ["", ",,,", " \t"]  # blank lines count as no row
+        lines[8:8] = [""]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for patch_loadtxt in (False, True):  # the same message with np.loadtxt off
+            with monkeypatch.context() as patch:
+                if patch_loadtxt:
+                    patch.setattr(np, "loadtxt", _no_loadtxt)
+                with pytest.raises(ValidationError) as err:
+                    read_mv_csv(path)
+            assert str(err.value) == f"{path}: {message}"
+
+    def test_blank_middle_block_does_not_warn(self, tmp_path, spies, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_CELLS", 4)  # 2 lines of 2 fields per block
+        path = tmp_path / "gap.csv"
+        path.write_text("x,y\n1,2\n\n , \n3,4\n5,6\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, matrix = dataio._read_matrix(path)
+        assert (header, matrix.tolist()) == (["x", "y"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert spies.fast.seen == [["3,4\n", "5,6\n"]]
+        assert [len(rows) for rows in spies.exact.seen] == [1]
 
 
 class TestWritersByteStable:
@@ -432,9 +515,8 @@ class TestWritersByteStable:
         x = _nasty(rng, (30, 7), finite=False)
         labels = rng.integers(1, 4, size=30).tolist()
         header = ["a", "b,c", 'q"'] + [f"x{j}" for j in range(6)]
-        for nan in ("NA", "0", "nan"):
-            path = self._write_both(tmp_path, monkeypatch, lambda p: dataio._write_csv(
-                p, header, [x, labels, x[:, 2]], nan=nan))
+        path = self._write_both(tmp_path, monkeypatch, lambda p: dataio._write_csv(
+            p, header, [x, labels, x[:, 2]]))
         for got_header, back in self._both_readers(monkeypatch, lambda: dataio._read_matrix(path)):
             assert got_header == header
             assert _bits(back) == _bits(np.column_stack([x, labels, x[:, 2]]))
