@@ -122,14 +122,17 @@ def cmd_fcluster(args) -> int:
 
 def _parse_grid(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValidationError(f"cannot parse --m-grid value {text!r}") from None
+        grid = []
+    if not grid:
+        raise ValidationError(f"cannot parse --m-grid value {text!r}")
+    return grid
 
 
 def cmd_tune(args) -> int:
     cfg = _cfg_from(args, args.k)
-    grid = _parse_grid(args.m_grid) if args.m_grid else None  # before the input is read
+    grid = None if args.m_grid is None else _parse_grid(args.m_grid)  # before the input is read
     if args.functional:
         data = dataio.read_fd_csv(args.input)
         tune, extra = tune_m_fd, {"n_subdomains": args.n_subdomains}

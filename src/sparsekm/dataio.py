@@ -103,19 +103,21 @@ def _read_matrix(path) -> tuple[list[str] | None, np.ndarray]:
     """The header (None when the first row parses as a number) and the float
     matrix of a CSV file, skipping blank lines, in one pass over one handle.
 
-    A csv.reader pre-scan reads as far as the first data row: it decides the
-    header and finds an empty or header-only file. The lines after that row
-    go to _loadtxt in blocks of about _BLOCK_CELLS cells. The first block it
-    raises on, or reads at another width than the first row's, and the rest
-    of the file go to _read_rows, which names the first ragged row or bad
-    cell. A file that cannot be opened, or does not decode in the locale's
-    encoding, raises ValidationError naming it."""
+    A csv.reader pre-scan reads as far as the first data row: it drops a
+    leading byte-order mark, decides the header and finds an empty or
+    header-only file. The lines after that row go to _loadtxt in blocks of
+    about _BLOCK_CELLS cells. The first block it raises on, or reads at
+    another width than the first row's, and the rest of the file go to
+    _read_rows, which names the first ragged row or bad cell. A file that
+    cannot be opened, or does not decode in the locale's encoding, raises
+    ValidationError naming it."""
     try:
         with open(path, newline="") as fh:
             rows = _data_rows(fh)
             first = next(rows, None)
             if first is None:
                 raise EmptyData(f"{path} contains no data")
+            first[0] = first[0].removeprefix("\ufeff")
             header = None
             if not _parses_as_number(first[0].strip()):
                 header = [cell.strip() for cell in first]

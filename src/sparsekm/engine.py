@@ -61,15 +61,6 @@ def _row_sq_norms(z: np.ndarray) -> np.ndarray:
     return np.add.reduce(z * z, axis=1)
 
 
-def _pairwise_sq_dists(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances from every row of z to every centroid; ``sq_norms``
-    is _row_sq_norms(z), which does not change while the centroids move."""
-    d2 = sq_norms[:, None] + np.add.reduce(centroids * centroids, axis=1)
-    d2 -= 2.0 * (z @ centroids.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
     """D^2-sampled initial centroids (kmeans++ style), as a fresh array.
 
@@ -90,69 +81,58 @@ def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
     return z[picks]
 
 
-def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes, out: np.ndarray) -> np.ndarray:
-    """Row ``j`` of ``out`` becomes the mean of the rows labelled ``j``; the
-    same sum-then-divide as ndarray.mean, so the bits are the same. The sums
-    go straight into ``out``, which is then divided once."""
-    for j in range(len(sizes)):
-        np.add.reduce(z[labels0 == j], axis=0, out=out[j])
-    out /= sizes[:, None]
-    return out
+def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The (S, k, a) cluster means of an (S, n) stack of 0-based labelings
+    with (S, k) cluster sizes: one one-hot product, then one division."""
+    onehot = labels0[:, None, :] == np.arange(sizes.shape[1])[:, None]
+    return (onehot @ z) / sizes[:, :, None]
 
 
-def _lloyd(z: np.ndarray, sq_norms: np.ndarray, k: int, centroids: np.ndarray, max_iter: int, finished: dict):
-    """Lloyd iteration until the assignment is a fixed point.
+def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter: int):
+    """Lloyd iteration on an (S, k, a) stack of starts, run in lockstep.
 
-    Returns (labels, wcss, steps): wcss is the within-cluster sum of squares
-    after the last assignment, summed once per run, and steps counts the
-    assignments made. An empty cluster is re-seeded at the observation
-    farthest from its own centroid whose cluster keeps another member, which
-    never increases the criterion; no cluster is left empty. With fewer than
-    k distinct rows no reseed can separate the clusters, so
-    TooFewDistinctRows is raised.
-
-    Once a labeling is accepted, the rest of the run depends on it alone,
-    because the next centroids are its cluster means. ``finished`` maps the
-    bytes of each labeling that an earlier run on the same ``z`` accepted on
-    its way to a fixed point to the steps it then still took. A run that
-    accepts such a labeling with at least that many steps left would end
-    with the same labels and WCSS, so it stops there and returns labels
-    None and wcss inf. A run that reaches its own fixed point adds its
-    labelings.
+    ``sq_norms`` is _row_sq_norms(z). Returns (labels, wcss, steps), one row
+    or entry per start: the 0-based labels of its last assignment, their
+    within-cluster sum of squares and the number of assignments made. A
+    start leaves the stack at its fixed point, where its labels stop moving,
+    or after max_iter assignments. An empty cluster is re-seeded at the
+    observation farthest from its own centroid whose cluster keeps another
+    member, which never increases the criterion; no cluster is left empty.
+    With fewer than k distinct rows no reseed can separate the clusters, so
+    TooFewDistinctRows is raised. Each start's slice of a stacked product has
+    the bits of the same product for that start alone, so every start ends
+    as it would alone.
     """
-    n = z.shape[0]
-    rows = np.arange(n)
-    labels, key, path = None, None, []
-    for step in range(max_iter):
-        d2 = _pairwise_sq_dists(z, sq_norms, centroids)
-        new_labels = d2.argmin(axis=1)
-        closest = None
-        sizes = np.bincount(new_labels, minlength=k)
-        if np.count_nonzero(sizes) < k:
-            n_distinct = np.unique(z, axis=0).shape[0]
-            if n_distinct < k:
-                raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
-            closest = d2[rows, new_labels]
-            for j in np.flatnonzero(sizes == 0):
-                far = int(np.argmax(np.where(sizes[new_labels] > 1, closest, -1.0)))
-                sizes[new_labels[far]] -= 1
-                sizes[j] = 1
-                new_labels[far] = j
-                closest[far] = 0.0
-        new_key = new_labels.tobytes()
-        if new_key == key:
-            for i, visited in enumerate(path):
-                finished[visited] = len(path) - i
-            break
-        left = finished.get(new_key)
-        if left is not None and left < max_iter - step:
-            return None, np.inf, step + 1
-        labels, key = new_labels, new_key
-        path.append(key)
-        _cluster_means(z, labels, sizes, centroids)  # every cluster has a member after the reseeds
-    if closest is None:
-        closest = d2[rows, new_labels]
-    return labels, float(np.add.reduce(closest)), step + 1
+    n_starts, k, _ = centroids.shape
+    labels = np.empty((n_starts, z.shape[0]), dtype=np.intp)
+    wcss, steps = np.empty(n_starts), np.empty(n_starts, dtype=np.intp)
+    live, prev = np.arange(n_starts), np.full_like(labels, -1)
+    for step in range(1, max_iter + 1):
+        d2 = sq_norms[:, None] + np.add.reduce(centroids * centroids, axis=2)[:, None, :]
+        d2 -= 2.0 * (z @ centroids.transpose(0, 2, 1))
+        np.maximum(d2, 0.0, out=d2)
+        new = d2.argmin(axis=2)
+        closest = np.take_along_axis(d2, new[:, :, None], axis=2)[:, :, 0]
+        offsets = k * np.arange(live.size)[:, None]
+        sizes = np.bincount((new + offsets).ravel(), minlength=live.size * k).reshape(-1, k)
+        empty = np.flatnonzero(~sizes.all(axis=1))
+        if empty.size and (n_distinct := np.unique(z, axis=0).shape[0]) < k:
+            raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+        for s in empty:
+            lab, size, near = new[s], sizes[s], closest[s]
+            for j in np.flatnonzero(size == 0):
+                far = int(np.argmax(np.where(size[lab] > 1, near, -1.0)))
+                size[lab[far]] -= 1
+                size[j] = 1
+                lab[far] = j
+                near[far] = 0.0
+        done = (new == prev).all(axis=1) | (step == max_iter)
+        ended = live[done]
+        labels[ended], wcss[ended], steps[ended] = new[done], np.add.reduce(closest[done], axis=1), step
+        if done.all():
+            return labels, wcss, steps
+        live, prev = live[~done], new[~done]
+        centroids = _cluster_means(z, prev, sizes[~done])  # every cluster has a member after the reseeds
 
 
 def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
@@ -218,18 +198,15 @@ def _restart_state(seed: int, r: int) -> dict:
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     """Best-of-restarts Lloyd in the transformed space.
 
-    Candidates are the warm start (when given) followed by n_init seeded
-    kmeans++ draws; selection is by strictly smaller WCSS, so earlier
-    candidates win ties. Putting the warm start first makes the outer
-    alternation's objective non-decreasing. A restart that rejoins the path
-    of an earlier candidate would tie with it, so _lloyd stops it there.
-    Row norms are computed once for all candidates.
+    The starts, the warm start (when given) followed by n_init seeded
+    kmeans++ draws, run as one stack in _lloyd. The first smallest finite
+    WCSS wins, so earlier starts win ties. Putting the warm start first makes
+    the outer alternation's objective non-decreasing.
     """
     k = cfg.k
     if k > z.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {z.shape[0]} observations")
-    sq_norms, max_iter, finished = _row_sq_norms(z), cfg.max_iter_lloyd, {}
-    best_labels, best_wcss = None, np.inf
+    starts = []
     if warm is not None:
         if warm.n_obs != z.shape[0]:
             raise PartitionMismatch(
@@ -237,20 +214,20 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
             )
         if warm.k != k:
             raise PartitionMismatch(f"warm-start partition has k={warm.k}, config has k={k}")
-        centroids = _cluster_means(z, warm.labels - 1, warm.sizes(), np.empty((warm.k, z.shape[1])))
-        best_labels, best_wcss, _ = _lloyd(z, sq_norms, k, centroids, max_iter, finished)
+        starts.append(_cluster_means(z, warm.labels[None] - 1, warm.sizes()[None])[0])
     rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
     for r in range(cfg.n_init):
         rng.bit_generator.state = _restart_state(cfg.seed, r)
-        labels, wcss, _ = _lloyd(z, sq_norms, k, _kmeanspp_init(z, k, rng), max_iter, finished)
-        if labels is not None and wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    if not np.isfinite(best_wcss):
+        starts.append(_kmeanspp_init(z, k, rng))
+    labels, wcss, _ = _lloyd(z, _row_sq_norms(z), np.stack(starts), cfg.max_iter_lloyd)
+    wcss = np.where(np.isfinite(wcss), wcss, np.inf)  # a NaN never wins
+    best = int(np.argmin(wcss))
+    if wcss[best] == np.inf:
         raise NonFiniteDistances(
             "squared distances are not finite: no restart has a finite within-cluster "
             "sum of squares (the data's scale overflows float64)"
         )
-    return Partition(_canonical_labels(best_labels), k), best_wcss
+    return Partition(_canonical_labels(labels[best]), k), float(wcss[best])
 
 
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:

@@ -1,4 +1,5 @@
 import json
+import locale
 import os
 import subprocess
 import sys
@@ -144,6 +145,29 @@ class TestCluster:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_truth_col_named_after_byte_order_mark(self, tmp_path):
+        """A BOM before the header leaves the first column its name, x."""
+        if b"\xef\xbb\xbf".decode(locale.getpreferredencoding(False), "replace") != "\ufeff":
+            pytest.skip("the locale's encoding does not decode a UTF-8 BOM")
+        d, truth = gen_mv(MvScenario(p=12, q=4, n_per_class=10, seed=3))
+        text = "x," + ",".join(f"f{j}" for j in range(1, 13)) + "\n" + "".join(
+            f"{lab}," + ",".join(repr(v) for v in row) + "\n"
+            for row, lab in zip(d.values.tolist(), truth.labels.tolist())
+        )
+        outs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(bom + text.encode())
+            outs.append(tmp_path / f"out_{name}")
+            code = run_cli(
+                "cluster", "--input", path, "--k", "3", "--m", "4", "--truth-col", "x",
+                "--out", outs[-1], "--n-init", "2",
+            )
+            assert code == 0
+        assert (outs[0] / "labels.csv").read_bytes() == (outs[1] / "labels.csv").read_bytes()
+        summaries = [json.loads((out / "summary.json").read_text()) for out in outs]
+        assert summaries[0]["cer_vs_truth"] == summaries[1]["cer_vs_truth"]
 
     def test_constant_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "const.csv"
@@ -308,6 +332,19 @@ class TestTune:
         )
         assert code == 2
         assert "cannot parse --m-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["", " ", ","])
+    def test_empty_grid_exits_2_before_reading_input(self, tmp_path, capsys, grid):
+        """An explicit --m-grid that names no level is a usage error, not the
+        default grid."""
+        out = tmp_path / "o"
+        code = run_cli(
+            "tune", "--input", tmp_path / "absent.csv", "--k", "3", "--m-grid", grid,
+            "--out", out,
+        )
+        assert code == 2
+        assert f"cannot parse --m-grid value {grid!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_takes_m_like_cluster(self, mv_csv, tmp_path, capsys):

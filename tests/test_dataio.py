@@ -43,6 +43,8 @@ try:
 except UnicodeDecodeError:
     UNDECODABLE = True
 
+BOM_DECODES = b"\xef\xbb\xbf".decode(locale.getpreferredencoding(False), "replace") == "\ufeff"
+
 # Cells on which a whole-file numpy conversion could part ways with float().
 TRICKY_CELLS = ["1_0", " 1.5", "infinity", "1e400", "0x10", "", "-NaN", "\t3\n", "1,5",
                 "1e", "1__0", "  -0 ", "1e-400", "1\x1f", "\x1cinf", " 2\x1d\x1e"]
@@ -186,6 +188,24 @@ class TestMvRoundTrip:
         back, _ = read_mv_csv(path)
         assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert back.feature_names is None
+
+    @pytest.mark.skipif(not BOM_DECODES, reason="the locale's encoding does not decode a UTF-8 BOM")
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """A UTF-8 BOM neither turns the first data row into a header nor
+        renames the first column."""
+        path = tmp_path / "plain.csv"
+        for text in (b"1.5,2.5\n3,4\n5,6\n", b"x,y\n1,2\n3,4\n"):
+            path.write_bytes(text)
+            want = read_mv_csv(path)[0]
+            path.write_bytes(b"\xef\xbb\xbf" + text)
+            got = read_mv_csv(path)[0]
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.feature_names == want.feature_names
+        assert got.values.shape == (2, 2) and got.feature_names == ("x", "y")
+        back, truth = read_mv_csv(path, truth_col="x")
+        assert back.values.tolist() == [[2.0], [4.0]] and truth.labels.tolist() == [1, 2]
+        path.write_bytes(b"\xef\xbb\xbf1.5,2.5\n3,4\n5,6\n")
+        assert read_mv_csv(path)[0].values.tolist() == [[1.5, 2.5], [3.0, 4.0], [5.0, 6.0]]
 
     def test_name_without_header_rejected(self, tmp_path):
         path = tmp_path / "plain.csv"

@@ -154,15 +154,21 @@ class TestWeightedKmeans:
             assert np.all(part.sizes() >= 1)
 
 
+def _lloyd_alone(z, centroids, max_iter):
+    """_lloyd on a stack of one start, unpacked to (labels, wcss, steps)."""
+    labels, wcss, steps = _lloyd(z, _row_sq_norms(z), centroids[None], max_iter)
+    return labels[0], wcss[0], int(steps[0])
+
+
 class TestLloydInternals:
     def test_wcss_history_non_increasing(self):
         rng = np.random.default_rng(21)
         z = rng.normal(size=(30, 3))
         for seed in range(5):
             picks = np.random.default_rng(seed).choice(30, 3, replace=False)
-            _, wcss, steps = _lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), 100, {})
+            _, wcss, steps = _lloyd_alone(z, z[picks].copy(), 100)
             # a run capped at s steps returns the WCSS after step s
-            capped = [_lloyd(z, _row_sq_norms(z), 3, z[picks].copy(), s, {}) for s in range(1, steps + 1)]
+            capped = [_lloyd_alone(z, z[picks].copy(), s) for s in range(1, steps + 1)]
             assert [c[2] for c in capped] == list(range(1, steps + 1))
             history = [c[1] for c in capped]
             hist = np.asarray(history)
@@ -173,8 +179,32 @@ class TestLloydInternals:
         # cluster 1 starts empty; the row farthest from its centroid (5.0) is
         # the only member of cluster 0 and must not be taken
         z = np.array([[5.0], [20.0], [21.0], [22.0]])
-        labels, _, _ = _lloyd(z, _row_sq_norms(z), 3, np.array([[0.0], [100.0], [21.0]]), 1, {})
+        labels, _, _ = _lloyd_alone(z, np.array([[0.0], [100.0], [21.0]]), 1)
         assert np.all(np.bincount(labels, minlength=3) >= 1)
+
+    def test_capped_wcss_counts_a_reseeded_row_at_zero(self):
+        # the reseed moves 20.0 into the empty cluster 1: 25 + 0 + 0 + 1
+        z = np.array([[5.0], [20.0], [21.0], [22.0]])
+        labels, wcss, _ = _lloyd_alone(z, np.array([[0.0], [100.0], [21.0]]), 1)
+        assert labels.tolist() == [0, 1, 2, 2] and wcss == 26.0
+
+    def test_starts_end_as_they_would_alone(self):
+        """Starts that reach their fixed points at different steps each get
+        the labels, WCSS and step count they get alone, and a cap applies to
+        each start separately."""
+        rng = np.random.default_rng(9)
+        z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.0, 1.0, size=(40, 3))]
+        starts = np.stack([_kmeanspp_init(z, 3, spawn_rng(0, STREAM_RESTART, r)) for r in range(8)])
+        alone = [_lloyd_alone(z, c, 100) for c in starts]
+        own_steps = sorted({a[2] for a in alone})
+        assert len(own_steps) >= 3
+        for cap in (own_steps[0], own_steps[1], 100):
+            labels, wcss, steps = _lloyd(z, _row_sq_norms(z), starts, cap)
+            for s, c in enumerate(starts):
+                want = _lloyd_alone(z, c, cap)
+                assert want[2] == min(alone[s][2], cap)
+                assert np.array_equal(labels[s], want[0])
+                assert wcss[s].tobytes() == want[1].tobytes() and steps[s] == want[2]
 
 
 class TestSparseKmeansMv:
@@ -393,9 +423,11 @@ class TestStart:
             sparse_kmeans_fd(fd, 2, 0.4, start=Partition(fd_truth.labels[1:], 2))
 
 
-# Reference copy of the Lloyd engine with neither the merge stop nor the row
-# norm cache: every restart runs to its own fixed point or cap, and every
-# step recomputes the row norms. _best_weighted_lloyd must match it bit for bit.
+# Reference copies of the Lloyd engine with no lockstep and no row norm
+# cache: every restart runs alone to its own fixed point or cap, and every
+# step recomputes the row norms. With masked means (the sequential reference)
+# _best_weighted_lloyd must give the same partition; with one-hot means, the
+# arithmetic it runs, the same WCSS bits as well.
 def _ref_pairwise_sq_dists(z, centroids):
     d2 = (
         np.sum(z * z, axis=1)[:, None]
@@ -404,6 +436,14 @@ def _ref_pairwise_sq_dists(z, centroids):
     )
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def _ref_masked_means(z, labels0, k):
+    return np.stack([z[labels0 == j].mean(axis=0) for j in range(k)])
+
+
+def _ref_onehot_means(z, labels0, k):
+    return ((labels0 == np.arange(k)[:, None]) @ z) / np.bincount(labels0, minlength=k)[:, None]
 
 
 def _ref_kmeanspp_init(z, k, rng):
@@ -424,13 +464,12 @@ def _ref_kmeanspp_init(z, k, rng):
     return centroids
 
 
-def _ref_lloyd(z, k, centroids, max_iter, steps):
+def _ref_lloyd(z, k, centroids, max_iter, means):
     n = z.shape[0]
     rows = np.arange(n)
     labels = None
     history = []
     for _ in range(max_iter):
-        steps[0] += 1
         d2 = _ref_pairwise_sq_dists(z, centroids)
         new_labels = d2.argmin(axis=1)
         closest = d2[rows, new_labels]
@@ -449,22 +488,19 @@ def _ref_lloyd(z, k, centroids, max_iter, steps):
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            centroids[j] = z[labels == j].mean(axis=0)
+        centroids = means(z, labels, k)
     return labels, history[-1]
 
 
-def _ref_best_weighted_lloyd(z, cfg, warm, steps):
+def _ref_best_weighted_lloyd(z, cfg, warm, means=_ref_masked_means):
     k = int(cfg.k)
     best_labels, best_wcss = None, np.inf
     if warm is not None:
-        centroids = np.empty((warm.k, z.shape[1]), dtype=np.float64)
-        for j in range(1, warm.k + 1):
-            centroids[j - 1] = z[warm.labels == j].mean(axis=0)
-        best_labels, best_wcss = _ref_lloyd(z, k, centroids, cfg.max_iter_lloyd, steps)
+        centroids = means(z, warm.labels - 1, warm.k)
+        best_labels, best_wcss = _ref_lloyd(z, k, centroids, cfg.max_iter_lloyd, means)
     for r in range(int(cfg.n_init)):
         rng = spawn_rng(cfg.seed, STREAM_RESTART, r)
-        labels, wcss = _ref_lloyd(z, k, _ref_kmeanspp_init(z, k, rng), cfg.max_iter_lloyd, steps)
+        labels, wcss = _ref_lloyd(z, k, _ref_kmeanspp_init(z, k, rng), cfg.max_iter_lloyd, means)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return Partition(_canonical_labels(best_labels), k), best_wcss
@@ -508,45 +544,52 @@ def wide_lloyd_cases():
             yield z, cfg, warm
 
 
+def _assert_as_reference(z, cfg, warm, means):
+    """_best_weighted_lloyd against _ref_best_weighted_lloyd with ``means``:
+    the same partition, or the same TooFewDistinctRows message. Returns the
+    two WCSS bytes, or None when both raised."""
+    try:
+        want = _ref_best_weighted_lloyd(z, cfg, warm, means)
+    except TooFewDistinctRows as exc:
+        with pytest.raises(TooFewDistinctRows, match=f"^{exc}$"):
+            _best_weighted_lloyd(z, cfg, warm)
+        return None
+    got = _best_weighted_lloyd(z, cfg, warm)
+    assert got[0] == want[0]
+    return np.float64(got[1]).tobytes(), np.float64(want[1]).tobytes()
+
+
 class TestMergeStop:
-    def test_same_bits_as_reference(self):
+    """The restart pool runs every start in one lockstep stack to its own
+    fixed point or cap, and ends as the reference loops that run each start
+    alone."""
+
+    def test_same_partition_as_sequential_reference(self):
         for z, cfg, warm in itertools.chain(lloyd_cases(), wide_lloyd_cases()):
-            try:
-                want = _ref_best_weighted_lloyd(z, cfg, warm, [0])
-            except TooFewDistinctRows as exc:
-                with pytest.raises(TooFewDistinctRows, match=str(exc)):
-                    _best_weighted_lloyd(z, cfg, warm)
-                continue
-            got = _best_weighted_lloyd(z, cfg, warm)
-            assert got[0] == want[0]
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            _assert_as_reference(z, cfg, warm, _ref_masked_means)
 
-    def test_centroids_same_bits_as_mean_at_wide_shapes(self):
-        """Summed into place and divided once, each centroid has the bits of
-        ndarray.mean; a WCSS over hundreds of columns can hide an ulp."""
-        for z, cfg, _ in wide_lloyd_cases():
-            k = int(cfg.k)
-            labels0 = np.r_[np.arange(k), np.random.default_rng(cfg.seed).integers(k, size=z.shape[0] - k)]
-            want = np.stack([z[labels0 == j].mean(axis=0) for j in range(k)])
-            got = _cluster_means(z, labels0, np.bincount(labels0, minlength=k), np.empty_like(want))
-            assert got.tobytes() == want.tobytes()
+    def test_same_bits_as_reference(self):
+        """One restart at a time with one-hot means, the arithmetic of the
+        stack: the same WCSS bytes as well."""
+        for z, cfg, warm in itertools.chain(lloyd_cases(), wide_lloyd_cases()):
+            wcss_bytes = _assert_as_reference(z, cfg, warm, _ref_onehot_means)
+            if wcss_bytes is not None:
+                assert wcss_bytes[0] == wcss_bytes[1]
 
-    def test_stops_only_with_the_steps_to_finish(self):
-        rng = np.random.default_rng(3)
-        z = rng.normal(size=(60, 4))
-        c0 = _kmeanspp_init(z, 3, spawn_rng(0, STREAM_RESTART, 0))
-        finished = {}
-        # the first labeling, then steps - 1 more to its fixed point
-        labels, wcss, steps = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), 100, finished)
-        assert steps > 2 and len(finished) == steps - 1
-        # one step short of the fixed point: runs on, as without the record
-        capped = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps - 1, dict(finished))
-        alone = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps - 1, {})
-        assert capped[0] is not None and np.array_equal(capped[0], alone[0]) and capped[1] == alone[1]
-        # enough steps: stops at the first labeling, which would end at labels, wcss
-        merged = _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, dict(finished))
-        assert merged[0] is None and merged[2] == 1
-        assert _lloyd(z, _row_sq_norms(z), 3, c0.copy(), steps, {})[1] == wcss
+    def test_stacked_means_same_bits_as_alone(self):
+        """Each slice of the stacked means has the bits of that labeling's
+        means alone, and two equal labelings get equal means."""
+        for z, cfg, _ in itertools.chain(lloyd_cases(), wide_lloyd_cases()):
+            k, n = int(cfg.k), z.shape[0]
+            rng = np.random.default_rng(cfg.seed)
+            labels0 = np.r_[np.arange(k), rng.integers(k, size=n - k)]
+            stack = np.stack([labels0, np.roll(labels0, 1), labels0, rng.permutation(labels0)])
+            sizes = np.stack([np.bincount(lab, minlength=k) for lab in stack])
+            got = _cluster_means(z, stack, sizes)
+            assert got.shape == (4, k, z.shape[1])
+            for lab, means in zip(stack, got):
+                assert means.tobytes() == _ref_onehot_means(z, lab, k).tobytes()
+            assert got[0].tobytes() == got[2].tobytes()
 
     def test_seeding_same_bits_as_reference(self):
         """The same centroids and the same draws as the reference, as a
@@ -559,23 +602,37 @@ class TestMergeStop:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert got.flags.writeable and not np.shares_memory(got, z)
 
-    def test_fewer_lloyd_steps(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.5, 1.0, size=(40, 3))]
-        cfg = KMeansConfig(k=2, n_init=10, seed=0)
-        ref_steps = [0]
-        want = _ref_best_weighted_lloyd(z, cfg, None, ref_steps)
-        steps = [0]
-        dists = engine._pairwise_sq_dists
+    @staticmethod
+    def _patched_pool(monkeypatch, wcss):
+        """_best_weighted_lloyd over a warm start and len(wcss) - 1 restarts
+        whose _lloyd returns the given WCSS and a distinct labeling per start."""
+        n, k = 12, 3
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(n, 2))
+        labelings = np.stack([np.r_[np.arange(k), rng.integers(k, size=n - k)] for _ in wcss])
 
-        def counted(*args):
-            steps[0] += 1
-            return dists(*args)
+        def fixed(z, sq_norms, centroids, max_iter):
+            assert centroids.shape[0] == len(wcss)
+            return labelings.copy(), np.array(wcss, dtype=float), np.ones(len(wcss), dtype=np.intp)
 
-        monkeypatch.setattr(engine, "_pairwise_sq_dists", counted)
-        got = _best_weighted_lloyd(z, cfg, None)
-        assert got[0] == want[0] and got[1] == want[1]
-        assert steps[0] < ref_steps[0]
+        monkeypatch.setattr(engine, "_lloyd", fixed)
+        cfg = KMeansConfig(k=k, n_init=len(wcss) - 1)
+        part, best = _best_weighted_lloyd(z, cfg, Partition(np.arange(n) % k + 1, k))
+        parts = [Partition(_canonical_labels(lab), k) for lab in labelings]
+        assert len({p.key() for p in parts}) == len(parts)
+        return part, best, parts
+
+    def test_nan_wcss_never_wins(self, monkeypatch):
+        part, best, parts = self._patched_pool(monkeypatch, [np.nan, 5.0, np.nan, 4.0, np.inf])
+        assert part == parts[3] and best == 4.0
+        with pytest.raises(NonFiniteDistances, match="distances are not finite"):
+            self._patched_pool(monkeypatch, [np.nan, np.inf, np.nan])
+
+    def test_earlier_of_tied_starts_wins(self, monkeypatch):
+        part, best, parts = self._patched_pool(monkeypatch, [3.0, 2.0, 5.0, 2.0])
+        assert part == parts[1] and part != parts[3] and best == 2.0
+        part, _, parts = self._patched_pool(monkeypatch, [1.0, 1.0, 1.0])
+        assert part == parts[0]
 
 
 class TestRowFactor:
@@ -621,7 +678,7 @@ class TestRowFactor:
                 continue
             factor = _row_factor(z)
             assert factor.shape == (z.shape[0], z.shape[0])
-            want = _ref_best_weighted_lloyd(z, cfg, warm, [0])
+            want = _ref_best_weighted_lloyd(z, cfg, warm)
             got = _best_weighted_lloyd(factor, cfg, warm)
             assert got[0] == want[0]
             assert abs(got[1] - want[1]) <= 1e-12 * want[1]
