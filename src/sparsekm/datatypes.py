@@ -19,6 +19,7 @@ from .errors import (
     NonFinite,
     NonMonotoneGrid,
     NonMonotoneObjective,
+    SOutOfRange,
     SparsityOutOfRange,
     ValidationError,
 )
@@ -84,6 +85,14 @@ def measure_m(m, measure: float) -> float:
     if not 0.0 < m < measure:
         raise SparsityOutOfRange(f"m={m} outside (0, {measure})")
     return m
+
+
+def l1_budget(s, p: int) -> float:
+    """An L1 budget for p nonnegative unit-norm weights: a float in [1, sqrt(p)]."""
+    s = float(s)
+    if not 1.0 <= s <= np.sqrt(p):
+        raise SOutOfRange(f"s={s} outside [1, sqrt({p})]")
+    return s
 
 
 def _integral_labels(values, where: str = "labels") -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, count_m, measure_m, require_grid, whole_fields
+from .datatypes import Dataset, Partition, SparseClusterResult, count_m, l1_budget, measure_m, require_grid, whole_fields
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -317,9 +317,10 @@ def sparse_kmeans_mv(
 
 
 def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None = None) -> SparseClusterResult:
-    """Sparse K-means with the soft-threshold (L1 budget) baseline rule."""
+    """Sparse K-means with the soft-threshold baseline rule under an L1 budget s in [1, sqrt(p)]."""
     require_grid(d, False, "soft_sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
+    s = l1_budget(s, d.n_features)
     return _alternate(
         d,
         k,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, whole, whole_m
+from .datatypes import Dataset, Partition, SparseClusterResult, count_m, l1_budget, measure_m, whole
 from .engine import (
     KMeansConfig,
     soft_sparse_kmeans_mv,
@@ -126,8 +126,9 @@ def run_gaussian_benchmark(
 
     Every run draws a fresh dataset; the three methods see the same data
     but their clusterers are seeded independently. p must cover the
-    design's informative features (``MvScenario.q``, 10). Returns (records,
-    summaries, details); details is empty unless requested.
+    design's informative features (``MvScenario.q``, 10); m and s are checked
+    against p before any data is drawn. Returns (records, summaries,
+    details); details is empty unless requested.
     """
     p = whole(p, "p")
     if p < MvScenario.q:
@@ -135,8 +136,8 @@ def run_gaussian_benchmark(
             f"p={p} too small: the Gaussian design needs p >= {MvScenario.q}, "
             "its informative features"
         )
-    m = default_gaussian_m(p) if m is None else whole_m(m)
-    s = GAUSSIAN_DEFAULT_S if s is None else float(s)
+    m = default_gaussian_m(p) if m is None else count_m(m, p)
+    s = l1_budget(GAUSSIAN_DEFAULT_S if s is None else s, p)
     return _run_benchmark(runs, seed, lambda run_seed: gen_mv(MvScenario(p=p, seed=run_seed)), [
         ("standard", _standard),
         ("soft-sparse", lambda d, cfg: soft_sparse_kmeans_mv(d, cfg.k, s, cfg)),
@@ -155,6 +156,7 @@ def run_curve_benchmark(
     Returns (records, summaries, details); details carries per-run
     partitions and converged weight functions for downstream inspection.
     """
+    m = measure_m(m, 1.0)  # the design's curves span the unit interval
     return _run_benchmark(runs, seed, lambda run_seed: gen_fd(FdScenario(seed=run_seed)), [
         ("standard", _standard),
         ("sparse", lambda d, cfg: sparse_kmeans_fd(d, cfg.k, m, cfg)),

@@ -1,7 +1,7 @@
 """Weight solvers.
 
 Three ways to turn dispersion scores into unit-norm feature weights: the
-closed-form hard-threshold rule (the method of interest), the bisection
+closed-form hard-threshold rule (the method of interest), the closed-form
 soft-threshold baseline it is compared against, and the level-set variant
 for weights defined over a continuous domain. Each takes a ``Dispersion``,
 whose construction has already checked the scores and their masses.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datatypes import Weights, count_m, measure_m
+from .datatypes import Weights, count_m, l1_budget, measure_m
 from .dispersion import Dispersion
 from .errors import (
     AllZeroAfterThreshold,
@@ -20,10 +20,6 @@ from .errors import (
     NonPositiveDispersion,
     SOutOfRange,
 )
-
-# Bisection control for the soft-threshold L1 constraint.
-EPS_S = 1e-10
-MAX_BISECT = 200
 
 
 def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
@@ -58,61 +54,50 @@ def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     """L1-budgeted soft-threshold weights, the comparison baseline.
 
     With a = disp.b, returns S(a, delta) / ||S(a, delta)||_2 where S shrinks
-    toward zero by delta and clips at zero. delta = 0 when the unconstrained
-    solution already meets ||w||_1 <= s; otherwise delta is found by
-    bisection on [0, max(a)) so that ||w||_1 = s within EPS_S. The final
-    iterate is always taken from the feasible (<= s) side of the bracket.
+    toward zero by delta and clips at zero, and delta is the smallest value
+    with ||w||_1 <= s. When the top j scores are kept, with mean mu and sum
+    of squared deviations V, ||w||_1 = j x / sqrt(V + j x^2) at x = mu - delta,
+    so ||w||_1 = s has the closed form x = s sqrt(V / (j (j - s^2))). j is the
+    smallest count whose breakpoint, delta at the next score down, reaches s.
+    t tied maxima put a floor of sqrt(t) on ||w||_1; a smaller s raises
+    SOutOfRange.
     """
     a = disp.b
     p = a.size
-    s = float(s)
-    if not 1.0 <= s <= np.sqrt(p):
-        raise SOutOfRange(f"s={s} outside [1, sqrt({p})]")
+    s = l1_budget(s, p)
     if not np.any(a > 0.0):
         raise AllZeroAfterThreshold("every score is zero")
     # w is scale-invariant in the scores; solving on a max-normalized copy
     # keeps the squared sums away from under/overflow for extreme scales.
     a = a / float(np.max(a))
-
-    def evaluate(delta):
-        v = np.maximum(a - delta, 0.0)
-        norm = float(np.sqrt(np.sum(v * v)))
-        l1 = float(np.sum(v)) / norm if norm > 0.0 else np.inf
-        return l1, v, norm
-
-    l1, v, norm = evaluate(0.0)
-    if l1 <= s:
-        w = v / norm
-        return Weights(w, m=int(np.count_nonzero(w == 0.0)))
-
-    lo = 0.0
-    hi = np.nextafter(float(np.max(a)), 0.0)
-    l1_hi, v_hi, n_hi = evaluate(hi)
-    if l1_hi > s + EPS_S:
-        # Tied maxima put a floor of sqrt(#ties) on the reachable L1 norm.
-        raise SOutOfRange(
-            f"s={s} below the attainable L1 floor {l1_hi} for these scores"
-        )
-    feasible = (v_hi, n_hi)
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        l1_mid, v_mid, n_mid = evaluate(mid)
-        if l1_mid > s:
-            lo = mid
-            continue
-        feasible = (v_mid, n_mid)
-        if s - l1_mid <= EPS_S:
-            break
-        hi = mid
-    v, norm = feasible
-    # The bracket resolves delta only to ~ulp * max(a); coordinates at that
-    # noise floor are numerically zero, so snap them before normalizing.
-    tiny = 4.0 * np.finfo(np.float64).eps * float(np.max(a))
-    snapped = np.where(v <= tiny, 0.0, v)
-    if np.any(snapped > 0.0):
-        v = snapped
-        norm = float(np.sqrt(np.sum(v * v)))
-    w = v / norm
+    norm = float(np.sqrt(np.sum(a * a)))
+    if float(np.sum(a)) / norm <= s:  # maximum makes a -0.0 score a +0.0 weight
+        return Weights(np.maximum(a, 0.0) / norm, m=int(np.count_nonzero(a == 0.0)))
+    order = np.argsort(-a, kind="stable")
+    # Work in u = 1 - a, the gap below the max: at the breakpoint delta =
+    # a_(j+1) the kept entries are c - u_i with c = u_(j+1), and sums in u keep
+    # their relative accuracy when the top scores nearly tie.
+    u = 1.0 - a[order]
+    c = np.append(u[1:], 1.0)  # the last breakpoint is delta = 0
+    count = np.arange(1, p + 1)
+    cum_u = np.cumsum(u)
+    l1 = count * c - cum_u
+    l2sq = c * (count * c - 2.0 * cum_u) + np.cumsum(u * u)
+    # a zero L2 is an empty interval between tied maxima
+    reach = (l2sq > 0.0) & (l1 >= s * np.sqrt(l2sq))
+    reach[-1] = True  # the ratio at delta = 0 exceeds s, as checked above
+    j = int(np.argmax(reach)) + 1
+    dev = u[:j] - np.mean(u[:j])
+    var = float(dev @ dev)
+    if var == 0.0 and np.sqrt(j) > s:
+        raise SOutOfRange(f"s={s} below the L1 floor sqrt({j}) of {j} tied maximal scores")
+    # x never passes the breakpoint's: j tied maxima (var = 0) take any x and
+    # get uniform weights, and rounding can put j at or below s^2.
+    x_break = l1[j - 1] / j
+    x = x_break if var == 0.0 or j <= s * s else min(x_break, s * np.sqrt(var / (j * (j - s * s))))
+    v = np.maximum(x - dev, 0.0)
+    w = np.zeros(p)
+    w[order[:j]] = v / np.sqrt(v @ v)
     return Weights(w, m=int(np.count_nonzero(w == 0.0)))
 
 
@@ -172,6 +157,4 @@ __all__ = [
     "soft_threshold_weights",
     "functional_threshold_level",
     "functional_threshold_weights",
-    "EPS_S",
-    "MAX_BISECT",
 ]

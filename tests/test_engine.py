@@ -31,6 +31,7 @@ from sparsekm.errors import (
     NonFiniteDistances,
     NumericalError,
     PartitionMismatch,
+    SOutOfRange,
     SparsityOutOfRange,
     TooFewDistinctRows,
     ValidationError,
@@ -285,6 +286,9 @@ class TestSparsityRange:
         for m in (-1, d.n_features, 1.5):
             with pytest.raises(SparsityOutOfRange):
                 sparse_kmeans_mv(d, 3, m)
+        for s in (100.0, 0.5, float("nan")):
+            with pytest.raises(SOutOfRange):
+                soft_sparse_kmeans_mv(d, 3, s)
         fd, _ = two_curve_clusters(seed=4)
         for m in (0.0, fd.domain_measure, float("nan")):
             with pytest.raises(SparsityOutOfRange):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsekm.errors import ValidationError
+from sparsekm import engine, experiments
+from sparsekm.errors import SOutOfRange, SparsityOutOfRange, ValidationError
 from sparsekm.experiments import (
     BenchmarkRun,
     GAUSSIAN_DEFAULT_S,
@@ -47,6 +48,32 @@ class TestSummarize:
         assert by_method["a"].mean_cer == pytest.approx(0.2)
         assert by_method["a"].sd_cer == pytest.approx(np.std([0.1, 0.3], ddof=1))
         assert by_method["b"].sd_cer == 0.0
+
+
+class TestArgumentsCheckedFirst:
+    """An out-of-range m or s is rejected before any data is drawn or fitted."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the benchmark started before its arguments were checked")
+
+        for module, name in [(engine, "weighted_kmeans"), (experiments, "weighted_kmeans"),
+                             (experiments, "gen_mv"), (experiments, "gen_fd")]:
+            monkeypatch.setattr(module, name, forbidden)
+
+    def test_gaussian_m_and_s(self):
+        for m in (60, 50, -1, 1.5):
+            with pytest.raises(SparsityOutOfRange):
+                run_gaussian_benchmark(50, runs=2, m=m)
+        for s in (100.0, 0.5, float("nan")):
+            with pytest.raises(SOutOfRange):
+                run_gaussian_benchmark(50, runs=2, s=s)
+
+    def test_curve_m(self):
+        for m in (1.5, 1.0, 0.0, float("nan")):
+            with pytest.raises(SparsityOutOfRange):
+                run_curve_benchmark(runs=2, m=m)
 
 
 class TestGaussianBenchmark:

@@ -150,6 +150,45 @@ def soft_binding_closed_form_2d(a1: float, a2: float, s: float):
     return np.array([u, v]) / norm
 
 
+def bisection_soft_weights(a: np.ndarray, s: float) -> np.ndarray:
+    """Reference for the soft solver: bisection on delta.
+
+    Each step keeps the feasible (||w||_1 <= s) side of the bracket [0, max a),
+    and the answer is taken from that side. It runs all 200 steps rather than
+    stopping at an L1 tolerance: near s = sqrt(j) the weights move far more
+    than ||w||_1 does, so a tolerance of 1e-10 on ||w||_1 leaves them off by
+    far more than 1e-10. The bracket collapses to adjacent floats, so delta
+    is resolved to its last bit. Coordinates at the resulting noise floor of
+    a few ulp are snapped to zero. s must not lie below the sqrt(#tied
+    maxima) floor.
+    """
+    a = a / float(np.max(a))
+
+    def evaluate(delta):
+        v = np.maximum(a - delta, 0.0)
+        norm = float(np.sqrt(np.sum(v * v)))
+        l1 = float(np.sum(v)) / norm if norm > 0.0 else np.inf
+        return l1, v, norm
+
+    l1, v, norm = evaluate(0.0)
+    if l1 <= s:
+        return v / norm
+    lo, hi = 0.0, np.nextafter(1.0, 0.0)
+    _, v, norm = evaluate(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        l1_mid, v_mid, n_mid = evaluate(mid)
+        if l1_mid > s:
+            lo = mid
+        else:
+            hi, v, norm = mid, v_mid, n_mid
+    snapped = np.where(v <= 4.0 * np.finfo(np.float64).eps, 0.0, v)
+    if np.any(snapped > 0.0):
+        v = snapped
+        norm = float(np.sqrt(np.sum(v * v)))
+    return v / norm
+
+
 class TestSoftThreshold:
     def test_unconstrained_when_l1_feasible(self):
         a = np.array([3.0, 1.0])
@@ -186,6 +225,11 @@ class TestSoftThreshold:
         wv = soft_threshold_weights(Dispersion(np.maximum(np.array([3.0, -5.0, 2.0]), 0.0)), 1.2)
         assert wv.w[1] == 0.0
 
+    def test_zero_weights_are_positive_zeros(self):
+        for s in (1.2, 1.5):  # the constraint binds, then it does not
+            w = soft_threshold_weights(Dispersion(np.array([-0.0, 2.0, 1.0])), s).w
+            assert w[0] == 0.0 and not np.signbit(w[0])
+
     def test_all_nonpositive_raises(self):
         with pytest.raises(AllZeroAfterThreshold):
             soft_threshold_weights(Dispersion(np.maximum(np.array([-1.0, 0.0]), 0.0)), 1.0)
@@ -215,6 +259,38 @@ class TestSoftThreshold:
         assert np.all(wv.w >= 0.0)
         assert np.linalg.norm(wv.w) == pytest.approx(1.0, abs=1e-9)
         assert wv.l1() <= s + 1e-8
+
+    @given(
+        st.lists(st.integers(0, 20), min_size=1, max_size=12).filter(lambda v: max(v) > 0),
+        st.one_of(st.just("one"), st.just("sqrt_p"), st.floats(0.0, 1.0)),
+        st.integers(-180, 160).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=300)
+    def test_property_matches_bisection(self, ints, s_choice, scale):
+        # small whole scores make zeros and tied maxima common
+        a = np.array(ints, dtype=np.float64) * scale
+        p = a.size
+        s = {"one": 1.0, "sqrt_p": math.sqrt(p)}.get(s_choice)
+        if s is None:
+            s = 1.0 + s_choice * (math.sqrt(p) - 1.0)
+        floor = math.sqrt(int(np.count_nonzero(a == a.max())))
+        if s < floor * (1.0 - 1e-12):
+            with pytest.raises(SOutOfRange):
+                soft_threshold_weights(Dispersion(a), s)
+            return
+        if s < floor:
+            return  # at the tied-maxima floor up to rounding: either answer holds
+        w = soft_threshold_weights(Dispersion(a), s).w
+        assert np.allclose(w, bisection_soft_weights(a, s), rtol=0.0, atol=1e-9)
+        u = a / a.max()
+        if u.sum() / np.linalg.norm(u) > s:  # the L1 constraint binds
+            assert abs(w.sum() - s) <= 1e-12
+
+    def test_near_tied_top_scores(self):
+        # the top two scores tie to 1e-10: only their gap sets the weights
+        wv = soft_threshold_weights(Dispersion(np.array([1.0, 1.0 - 1e-10, 0.2])), 1.4)
+        assert np.allclose(wv.w, [0.8, 0.6, 0.0], rtol=0.0, atol=1e-12)
+        assert wv.m == 1
 
 
 class TestFunctionalThreshold:
