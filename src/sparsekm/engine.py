@@ -61,31 +61,67 @@ def _row_sq_norms(z: np.ndarray) -> np.ndarray:
     return np.add.reduce(z * z, axis=1)
 
 
-def _kmeanspp_init(z: np.ndarray, k: int, rng) -> np.ndarray:
-    """D^2-sampled initial centroids (kmeans++ style), as a fresh array.
+@functools.lru_cache(maxsize=1024)
+def _restart_draws(seed: int, n_init: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kmeans++ draws of restarts 0..n_init-1 over n rows, read-only.
 
-    A D^2 row is computed only for the picks whose distances a later draw
-    reads, so never for the last one.
+    Restart r's stream is spawn_rng(seed, STREAM_RESTART, r); it draws its
+    first pick, integers(n), and then one random() uniform for each of the
+    k - 1 later picks. Returns the (n_init,) first picks and the
+    (n_init, k - 1) uniforms. They do not depend on the data, so they are
+    drawn once per key; the cache hands the same arrays to every caller.
+    """
+    firsts, uniforms = np.empty(n_init, dtype=np.intp), np.empty((n_init, k - 1))
+    for r in range(n_init):
+        rng = spawn_rng(seed, STREAM_RESTART, r)
+        firsts[r], uniforms[r] = rng.integers(n), rng.random(k - 1)
+    firsts.setflags(write=False)
+    uniforms.setflags(write=False)
+    return firsts, uniforms
+
+
+def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
+    """D^2-sampled initial centroids (kmeans++ style) of n_init restarts, as
+    a fresh (n_init, k, a) stack.
+
+    Restart r takes its draws from _restart_draws. A D^2 row is computed
+    only for the picks whose distances a later draw reads, so never for the
+    last one. Where the D^2 total of restart r is not positive, every D^2
+    entry is 0 and stays 0, so this and every later pick of the restart is a
+    uniform integers(n): its stream is replayed up to the first of them and
+    draws the rest. Every restart picks as it would drawing from its own
+    stream one draw after another.
     """
     n = z.shape[0]
-    picks, d2 = [int(rng.integers(n))], None
-    for _ in range(1, k):
-        row = np.add.reduce((z - z[picks[-1]]) ** 2, axis=1)
-        d2 = row if d2 is None else np.minimum(d2, row, out=d2)
-        total = float(np.add.reduce(d2))
-        if total <= 0.0:
-            picks.append(int(rng.integers(n)))
-        else:
-            r = rng.random() * total
-            picks.append(min(int(d2.cumsum().searchsorted(r, side="right")), n - 1))
+    firsts, uniforms = _restart_draws(seed, n_init, n, k)
+    picks = np.empty((n_init, k), dtype=np.intp)
+    picks[:, 0] = firsts
+    for r in range(n_init):
+        d2, rng = None, None
+        for j in range(1, k):
+            row = np.add.reduce((z - z[picks[r, j - 1]]) ** 2, axis=1)
+            d2 = row if d2 is None else np.minimum(d2, row, out=d2)
+            total = float(np.add.reduce(d2))
+            if total <= 0.0:
+                if rng is None:  # replay the stream up to this draw
+                    rng = spawn_rng(seed, STREAM_RESTART, r)
+                    rng.integers(n)
+                    rng.random(j - 1)
+                picks[r, j] = rng.integers(n)
+            else:
+                r_total = uniforms[r, j - 1] * total
+                picks[r, j] = min(int(d2.cumsum().searchsorted(r_total, side="right")), n - 1)
     return z[picks]
 
 
-def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray, ids=None) -> np.ndarray:
     """The (S, k, a) cluster means of an (S, n) stack of 0-based labelings
-    with (S, k) cluster sizes: one one-hot product, then one division."""
-    onehot = labels0[:, None, :] == np.arange(sizes.shape[1])[:, None]
-    return (onehot @ z) / sizes[:, :, None]
+    with (S, k) cluster sizes: one one-hot product, then one division.
+    ``ids``, when given, is np.arange(k)[:, None], built once by a caller
+    that calls this at every step."""
+    if ids is None:
+        ids = np.arange(sizes.shape[1])[:, None]
+    return ((labels0[:, None, :] == ids) @ z) / sizes[:, :, None]
 
 
 def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter: int):
@@ -102,37 +138,51 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
     TooFewDistinctRows is raised. Each start's slice of a stacked product has
     the bits of the same product for that start alone, so every start ends
     as it would alone.
+
+    Besides the (S, n) labels, previous labels and flat offsets, at most two
+    S·n·k float64 arrays are alive at once: the distances and the doubled
+    product while the distances are formed, and the float64 one-hot while
+    the means are formed, once the distances are dropped.
     """
     n_starts, k, _ = centroids.shape
     labels = np.empty((n_starts, z.shape[0]), dtype=np.intp)
     wcss, steps = np.empty(n_starts), np.empty(n_starts, dtype=np.intp)
     live, prev = np.arange(n_starts), np.full_like(labels, -1)
+    ids = np.arange(k)[:, None]
+    # flat offsets of each start's sizes and of each (start, row)'s distances; sliced to the live starts
+    offsets, row_offsets = k * live[:, None], k * np.arange(labels.size).reshape(labels.shape)
     for step in range(1, max_iter + 1):
         d2 = sq_norms[:, None] + np.add.reduce(centroids * centroids, axis=2)[:, None, :]
-        d2 -= 2.0 * (z @ centroids.transpose(0, 2, 1))
+        prod = z @ centroids.transpose(0, 2, 1)
+        prod *= 2.0  # exact, so d2 has the bits of d2 - 2.0 * prod
+        d2 -= prod
+        del prod
         np.maximum(d2, 0.0, out=d2)
         new = d2.argmin(axis=2)
-        closest = np.take_along_axis(d2, new[:, :, None], axis=2)[:, :, 0]
-        offsets = k * np.arange(live.size)[:, None]
-        sizes = np.bincount((new + offsets).ravel(), minlength=live.size * k).reshape(-1, k)
-        empty = np.flatnonzero(~sizes.all(axis=1))
-        if empty.size and (n_distinct := np.unique(z, axis=0).shape[0]) < k:
-            raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
-        for s in empty:
-            lab, size, near = new[s], sizes[s], closest[s]
-            for j in np.flatnonzero(size == 0):
-                far = int(np.argmax(np.where(size[lab] > 1, near, -1.0)))
-                size[lab[far]] -= 1
-                size[j] = 1
-                lab[far] = j
-                near[far] = 0.0
+        closest = d2.ravel().take(new + row_offsets[: live.size])
+        del d2
+        sizes = np.bincount((new + offsets[: live.size]).ravel(), minlength=live.size * k).reshape(-1, k)
+        if not sizes.all():
+            if (n_distinct := np.unique(z, axis=0).shape[0]) < k:
+                raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
+            for s in np.flatnonzero(~sizes.all(axis=1)):
+                lab, size, near = new[s], sizes[s], closest[s]
+                for j in np.flatnonzero(size == 0):
+                    far = int(np.argmax(np.where(size[lab] > 1, near, -1.0)))
+                    size[lab[far]] -= 1
+                    size[j] = 1
+                    lab[far] = j
+                    near[far] = 0.0
         done = (new == prev).all(axis=1) | (step == max_iter)
-        ended = live[done]
-        labels[ended], wcss[ended], steps[ended] = new[done], np.add.reduce(closest[done], axis=1), step
-        if done.all():
-            return labels, wcss, steps
-        live, prev = live[~done], new[~done]
-        centroids = _cluster_means(z, prev, sizes[~done])  # every cluster has a member after the reseeds
+        if done.any():
+            ended = live[done]
+            labels[ended], wcss[ended], steps[ended] = new[done], np.add.reduce(closest[done], axis=1), step
+            if done.all():
+                return labels, wcss, steps
+            live, new, sizes = live[~done], new[~done], sizes[~done]
+        prev = new
+        del closest
+        centroids = _cluster_means(z, prev, sizes, ids)  # every cluster has a member after the reseeds
 
 
 def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
@@ -189,12 +239,6 @@ def _row_factor(z: np.ndarray) -> np.ndarray:
         return z
 
 
-@functools.lru_cache(maxsize=1024)
-def _restart_state(seed: int, r: int) -> dict:
-    """PCG64 state dict of restart r's stream, derived once per (seed, r); never mutated."""
-    return spawn_rng(seed, STREAM_RESTART, r).bit_generator.state
-
-
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     """Best-of-restarts Lloyd in the transformed space.
 
@@ -206,7 +250,7 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     k = cfg.k
     if k > z.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {z.shape[0]} observations")
-    starts = []
+    starts = _kmeanspp_init(z, k, cfg.seed, cfg.n_init)
     if warm is not None:
         if warm.n_obs != z.shape[0]:
             raise PartitionMismatch(
@@ -214,12 +258,8 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
             )
         if warm.k != k:
             raise PartitionMismatch(f"warm-start partition has k={warm.k}, config has k={k}")
-        starts.append(_cluster_means(z, warm.labels[None] - 1, warm.sizes()[None])[0])
-    rng = np.random.Generator(np.random.PCG64(0))  # each restart sets its own state
-    for r in range(cfg.n_init):
-        rng.bit_generator.state = _restart_state(cfg.seed, r)
-        starts.append(_kmeanspp_init(z, k, rng))
-    labels, wcss, _ = _lloyd(z, _row_sq_norms(z), np.stack(starts), cfg.max_iter_lloyd)
+        starts = np.concatenate((_cluster_means(z, warm.labels[None] - 1, warm.sizes()[None]), starts))
+    labels, wcss, _ = _lloyd(z, _row_sq_norms(z), starts, cfg.max_iter_lloyd)
     wcss = np.where(np.isfinite(wcss), wcss, np.inf)  # a NaN never wins
     best = int(np.argmin(wcss))
     if wcss[best] == np.inf:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from sparsekm.engine import (
     _cluster_means,
     _kmeanspp_init,
     _lloyd,
+    _restart_draws,
     _row_factor,
     _row_sq_norms,
     _transformed_matrix,
@@ -195,7 +197,8 @@ class TestLloydInternals:
         each start separately."""
         rng = np.random.default_rng(9)
         z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.0, 1.0, size=(40, 3))]
-        starts = np.stack([_kmeanspp_init(z, 3, spawn_rng(0, STREAM_RESTART, r)) for r in range(8)])
+        starts = _kmeanspp_init(z, 3, 0, 8)
+        assert starts.tobytes() == _ref_seeding_stack(z, 3, 0, 8).tobytes()
         alone = [_lloyd_alone(z, c, 100) for c in starts]
         own_steps = sorted({a[2] for a in alone})
         assert len(own_steps) >= 3
@@ -206,6 +209,26 @@ class TestLloydInternals:
                 assert want[2] == min(alone[s][2], cap)
                 assert np.array_equal(labels[s], want[0])
                 assert wcss[s].tobytes() == want[1].tobytes() and steps[s] == want[2]
+
+    def test_peak_memory_two_distance_stacks(self):
+        """One call holds at most two S·n·k float64 arrays at once, the
+        distances and the doubled product, besides three (S, n) intp arrays:
+        the labels, the previous labels and the flat offsets."""
+        n, a, k, n_starts = 20_000, 20, 5, 10
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(n, a))
+        z[:, :3] += 3.0 * rng.normal(size=(k, 3))[rng.integers(k, size=n)]
+        sq_norms, starts = _row_sq_norms(z), z[rng.choice(n, size=(n_starts, k))]
+        tracemalloc.start()
+        try:
+            _, _, steps = _lloyd(z, sq_norms, starts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps.tolist() == [3] * n_starts
+        itemsize = np.dtype(np.float64).itemsize
+        bound = (2 * n_starts * n * k + 3 * n_starts * n) * itemsize + (1 << 19)
+        assert peak <= bound, f"traced peak {peak} bytes, bound {bound}"
 
 
 class TestSparseKmeansMv:
@@ -468,6 +491,11 @@ def _ref_kmeanspp_init(z, k, rng):
     return centroids
 
 
+def _ref_seeding_stack(z, k, seed, n_init):
+    """The reference draws of restarts 0..n_init-1, one stream after another."""
+    return np.stack([_ref_kmeanspp_init(z, k, spawn_rng(seed, STREAM_RESTART, r)) for r in range(n_init)])
+
+
 def _ref_lloyd(z, k, centroids, max_iter, means):
     n = z.shape[0]
     rows = np.arange(n)
@@ -596,15 +624,60 @@ class TestMergeStop:
             assert got[0].tobytes() == got[2].tobytes()
 
     def test_seeding_same_bits_as_reference(self):
-        """The same centroids and the same draws as the reference, as a
-        fresh array that _lloyd may overwrite."""
+        """The same centroids as the reference's restarts one after another,
+        as a fresh stack that _lloyd may overwrite."""
         for z, cfg, _ in lloyd_cases():
-            for r in range(int(cfg.n_init)):
-                rng, ref_rng = (spawn_rng(cfg.seed, STREAM_RESTART, r) for _ in range(2))
-                got = _kmeanspp_init(z, int(cfg.k), rng)
-                assert got.tobytes() == _ref_kmeanspp_init(z, int(cfg.k), ref_rng).tobytes()
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-                assert got.flags.writeable and not np.shares_memory(got, z)
+            k, n_init = int(cfg.k), int(cfg.n_init)
+            got = _kmeanspp_init(z, k, cfg.seed, n_init)
+            assert got.shape == (n_init, k, z.shape[1])
+            assert got.tobytes() == _ref_seeding_stack(z, k, cfg.seed, n_init).tobytes()
+            assert got.flags.writeable and not np.shares_memory(got, z)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.zeros((6, 2)),
+            np.full((9, 3), 2.5),
+            # squared differences of 1e-170 underflow to 0: a zero D^2 total
+            # over rows that are not equal
+            np.array([[0.0], [1e-170], [2e-170], [3e-170], [-1e-170]]),
+            np.r_[np.zeros((4, 2)), 1e-170 * np.ones((3, 2))],
+            # fewer distinct rows than k, each repeated: the total falls to 0
+            # once every distinct row is picked
+            np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0),
+            np.repeat([[1.0], [4.0], [9.0]], [1, 6, 2], axis=0),
+            # a NaN or an overflowing total is not a zero total
+            np.r_[np.zeros((3, 2)), [[np.nan, 0.0]], np.ones((2, 2))],
+            np.array([[0.0], [1e300], [-1e300], [1.0], [2.0]]),
+        ],
+    )
+    def test_seeding_degenerate_totals_same_bits_as_reference(self, z):
+        """Where the D^2 total is 0 the pick is a uniform draw: the stream is
+        replayed up to it, and its later draws are as the reference's."""
+        for k in range(2, min(z.shape[0], 5) + 1):
+            for seed in range(6):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = _kmeanspp_init(z, k, seed, 7), _ref_seeding_stack(z, k, seed, 7)
+                assert got.tobytes() == want.tobytes()
+
+    def test_restart_draws_are_fresh_stream_draws(self):
+        for seed, n_init, n, k in ((0, 1, 8, 2), (5, 10, 60, 3), (2**40, 4, 1002, 5)):
+            firsts, uniforms = _restart_draws(seed, n_init, n, k)
+            assert firsts.shape == (n_init,) and uniforms.shape == (n_init, k - 1)
+            for r in range(n_init):
+                rng = spawn_rng(seed, STREAM_RESTART, r)
+                assert firsts[r] == rng.integers(n)
+                assert [rng.random() for _ in range(k - 1)] == uniforms[r].tolist()
+
+    def test_restart_draws_are_read_only(self):
+        """The cache hands the same arrays to every caller, so none may write them."""
+        firsts, uniforms = _restart_draws(3, 4, 20, 3)
+        assert _restart_draws(3, 4, 20, 3)[0] is firsts
+        with pytest.raises(ValueError, match="read-only"):
+            firsts[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            uniforms[0, 0] = 0.5
+        assert _restart_draws.cache_info().maxsize == 1024
 
     @staticmethod
     def _patched_pool(monkeypatch, wcss):
