@@ -135,33 +135,47 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
     observation farthest from its own centroid whose cluster keeps another
     member, which never increases the criterion; no cluster is left empty.
     With fewer than k distinct rows no reseed can separate the clusters, so
-    TooFewDistinctRows is raised. Each start's slice of a stacked product has
-    the bits of the same product for that start alone, so every start ends
-    as it would alone.
+    TooFewDistinctRows is raised.
+
+    Each step forms the distances of every live start as one (n, S·k)
+    array from one product z @ Cᵀ, with the live centroids stacked as the
+    S·k rows of C, so z passes through BLAS once per step, not once per
+    start. The argmin and the closest distances are taken over its
+    (n, S, k) view and written as (S, n) rows. The means stay one product
+    per start, so each start's means have the bits of its means alone.
+    Whether a start's columns of the one product have the bits of its own
+    product z @ cᵀ is up to the BLAS, which picks its kernel by shape: they
+    do at every shape the tests pin, where every start ends as it would
+    alone, and can differ in the last bits at others, such as 60 x 60.
 
     Besides the (S, n) labels, previous labels and flat offsets, at most two
     S·n·k float64 arrays are alive at once: the distances and the doubled
     product while the distances are formed, and the float64 one-hot while
     the means are formed, once the distances are dropped.
     """
-    n_starts, k, _ = centroids.shape
-    labels = np.empty((n_starts, z.shape[0]), dtype=np.intp)
+    n_starts, k, a = centroids.shape
+    n = z.shape[0]
+    labels = np.empty((n_starts, n), dtype=np.intp)
     wcss, steps = np.empty(n_starts), np.empty(n_starts, dtype=np.intp)
     live, prev = np.arange(n_starts), np.full_like(labels, -1)
     ids = np.arange(k)[:, None]
-    # flat offsets of each start's sizes and of each (start, row)'s distances; sliced to the live starts
-    offsets, row_offsets = k * live[:, None], k * np.arange(labels.size).reshape(labels.shape)
+    # flat offsets of each start's sizes, and of each (start, row)'s distances among the live starts'
+    offsets = k * live[:, None]
+    row_offsets = offsets + n_starts * k * np.arange(n)
     for step in range(1, max_iter + 1):
-        d2 = sq_norms[:, None] + np.add.reduce(centroids * centroids, axis=2)[:, None, :]
-        prod = z @ centroids.transpose(0, 2, 1)
+        width = live.size * k
+        stacked = centroids.reshape(width, a)  # explicit sizes: a = 0 still reaches the reseed check
+        d2 = sq_norms[:, None] + np.add.reduce(stacked * stacked, axis=1)
+        prod = z @ stacked.T
         prod *= 2.0  # exact, so d2 has the bits of d2 - 2.0 * prod
         d2 -= prod
         del prod
         np.maximum(d2, 0.0, out=d2)
-        new = d2.argmin(axis=2)
-        closest = d2.ravel().take(new + row_offsets[: live.size])
+        new = np.empty((live.size, n), dtype=np.intp)
+        d2.reshape(n, live.size, k).argmin(axis=2, out=new.T)
+        closest = d2.ravel().take(new + row_offsets)
         del d2
-        sizes = np.bincount((new + offsets[: live.size]).ravel(), minlength=live.size * k).reshape(-1, k)
+        sizes = np.bincount((new + offsets[: live.size]).ravel(), minlength=width).reshape(-1, k)
         if not sizes.all():
             if (n_distinct := np.unique(z, axis=0).shape[0]) < k:
                 raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
@@ -180,6 +194,7 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
             if done.all():
                 return labels, wcss, steps
             live, new, sizes = live[~done], new[~done], sizes[~done]
+            row_offsets = offsets[: live.size] + live.size * k * np.arange(n)
         prev = new
         del closest
         centroids = _cluster_means(z, prev, sizes, ids)  # every cluster has a member after the reseeds

@@ -88,3 +88,7 @@ class NonMonotoneObjective(NumericalError):
 
 class NonFiniteDistances(NumericalError):
     """Squared distances overflowed, so no restart has a finite within-cluster sum of squares."""
+
+
+class TiedMaximaFloor(NumericalError):
+    """t tied maximal scores put a floor of sqrt(t) above the L1 budget s; names the tied features."""

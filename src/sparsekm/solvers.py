@@ -18,7 +18,7 @@ from .errors import (
     DegenerateDispersion,
     GridMismatch,
     NonPositiveDispersion,
-    SOutOfRange,
+    TiedMaximaFloor,
 )
 
 
@@ -59,8 +59,9 @@ def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     of squared deviations V, ||w||_1 = j x / sqrt(V + j x^2) at x = mu - delta,
     so ||w||_1 = s has the closed form x = s sqrt(V / (j (j - s^2))). j is the
     smallest count whose breakpoint, delta at the next score down, reaches s.
-    t tied maxima put a floor of sqrt(t) on ||w||_1; a smaller s raises
-    SOutOfRange.
+    t tied maxima put a floor of sqrt(t) on ||w||_1. The data, not the
+    budget, sets that floor, so a smaller s raises TiedMaximaFloor, a
+    NumericalError that names the tied features.
     """
     a = disp.b
     p = a.size
@@ -90,7 +91,10 @@ def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     dev = u[:j] - np.mean(u[:j])
     var = float(dev @ dev)
     if var == 0.0 and np.sqrt(j) > s:
-        raise SOutOfRange(f"s={s} below the L1 floor sqrt({j}) of {j} tied maximal scores")
+        tied = ", ".join(str(i) for i in np.sort(order[:j]))
+        raise TiedMaximaFloor(
+            f"s={s} below the L1 floor sqrt({j}) of {j} tied maximal scores, at features {tied} (0-based)"
+        )
     # x never passes the breakpoint's: j tied maxima (var = 0) take any x and
     # get uniform weights, and rounding can put j at or below s^2.
     x_break = l1[j - 1] / j

@@ -1,6 +1,7 @@
 import json
 import locale
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +219,21 @@ class TestCluster:
             code = run_cli("cluster", "--input", path, "--k", "3", "--m", "40", "--out", tmp_path / "o")
         assert code == 1
         assert "squared distances are not finite" in capsys.readouterr().err
+
+    def test_tied_maximal_scores_exit_1(self, tmp_path, capsys):
+        # every column written twice: the two copies of the top feature tie,
+        # and their L1 floor sqrt(2) lies above s = 1.2, an admissible budget
+        # for p = 40; the data causes the failure, so it is not a usage error
+        d, _ = gen_mv(MvScenario(p=20, seed=0))
+        path, out = tmp_path / "twice.csv", tmp_path / "o"
+        write_mv_csv(path, Dataset(np.hstack([d.values, d.values])))
+        code = run_cli("cluster", "--input", path, "--k", "3", "--method", "soft", "--s", "1.2", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        match = re.search(r"sqrt\(2\) of 2 tied maximal scores, at features (\d+), (\d+) ", err)
+        assert err.startswith("numerical failure:") and match
+        assert int(match[2]) == int(match[1]) + 20
+        assert not out.exists()
 
     def test_duplicate_rows_exit_1(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"

@@ -562,10 +562,12 @@ def lloyd_cases(n_cases=240):
 
 def wide_lloyd_cases():
     """The shapes of the wide workloads, which lloyd_cases does not reach:
-    60 rows of 400 and of 2000 columns, and 1002 rows of 100, at k = 2
-    (cold) and k = 3 (warm-started), with clusters on the first 10 columns."""
+    60 rows of 400 and of 2000 columns, and 1002 rows of 100 and of 500 (the
+    uniform-weight start of a 1002 x 500 table, where one distance product
+    serves every start of the stack), at k = 2 (cold) and k = 3
+    (warm-started), with clusters on the first 10 columns."""
     rng = np.random.default_rng(78)
-    for n, p in ((60, 400), (60, 2000), (1002, 100)):
+    for n, p in ((60, 400), (60, 2000), (1002, 100), (1002, 500)):
         for k in (2, 3):
             z = rng.normal(size=(n, p))
             z[:, :10] += 2.0 * rng.normal(size=(k, 10))[rng.integers(k, size=n)]
@@ -898,3 +900,44 @@ class TestDuplicateRows:
         k = len(reps) + 1
         with pytest.raises(TooFewDistinctRows, match=f"{len(reps)} distinct rows for k={k}"):
             weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=k, n_init=3, seed=seed))
+
+
+class TestTiedColumns:
+    """Duplicated or negated columns tie their dispersion scores, so t tied
+    maxima can put a floor of sqrt(t) on ||w||_1 above an admissible s. A
+    soft fit past validation gives a valid result or a NumericalError; the
+    data's ties are never a usage error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 12),
+        q=st.integers(1, 4),
+        extra=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4),
+        rounded=st.booleans(),
+        k=st.integers(2, 3),
+        s_frac=st.floats(0.0, 1.0),
+        n_init=st.integers(1, 3),
+    )
+    def test_soft_fit_valid_or_numerical(self, seed, n, q, extra, rounded, k, s_frac, n_init):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n, q))
+        if rounded:  # ties between rows as well
+            base = np.round(base)
+        # every column twice, then up to four more copies, some negated
+        cols = [base, base] + [(-1.0 if neg else 1.0) * base[:, [j % q]] for j, neg in extra]
+        values = np.hstack(cols)[:, :8]
+        p = values.shape[1]
+        s = 1.0 + s_frac * (np.sqrt(p) - 1.0)
+        try:
+            res = soft_sparse_kmeans_mv(Dataset(values), k, s, KMeansConfig(n_init=n_init, seed=seed))
+        except NumericalError:
+            return
+        assert res.partition.k == k
+        assert np.all(np.bincount(res.partition.labels, minlength=k + 1)[1:] > 0)
+        w = res.weights.w
+        assert np.all(w >= 0.0)
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
+        assert w.sum() <= s + 1e-8
+        trace = res.objective_trace
+        assert all(b >= a - objective_slack(a) for a, b in zip(trace, trace[1:]))

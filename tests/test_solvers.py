@@ -13,8 +13,10 @@ from sparsekm.errors import (
     DegenerateDispersion,
     GridMismatch,
     NonPositiveDispersion,
+    NumericalError,
     SOutOfRange,
     SparsityOutOfRange,
+    TiedMaximaFloor,
 )
 from sparsekm.solvers import (
     functional_threshold_level,
@@ -218,8 +220,15 @@ class TestSoftThreshold:
         wv = soft_threshold_weights(Dispersion(a), math.sqrt(3.0))
         assert np.allclose(wv.w, np.full(3, 1 / math.sqrt(3.0)))
         # three tied maxima cannot reach an L1 norm below sqrt(3)
-        with pytest.raises(SOutOfRange):
+        with pytest.raises(TiedMaximaFloor):
             soft_threshold_weights(Dispersion(a), 1.5)
+
+    def test_tie_floor_is_numerical_and_names_the_features(self):
+        # the data sets the floor, so it is not a usage error
+        a = np.array([1.0, 4.0, 2.0, 4.0])
+        with pytest.raises(TiedMaximaFloor, match=r"sqrt\(2\) of 2 tied maximal scores, at features 1, 3 ") as info:
+            soft_threshold_weights(Dispersion(a), 1.2)
+        assert isinstance(info.value, NumericalError)
 
     def test_negative_scores_never_selected(self):
         wv = soft_threshold_weights(Dispersion(np.maximum(np.array([3.0, -5.0, 2.0]), 0.0)), 1.2)
@@ -275,7 +284,7 @@ class TestSoftThreshold:
             s = 1.0 + s_choice * (math.sqrt(p) - 1.0)
         floor = math.sqrt(int(np.count_nonzero(a == a.max())))
         if s < floor * (1.0 - 1e-12):
-            with pytest.raises(SOutOfRange):
+            with pytest.raises(TiedMaximaFloor):
                 soft_threshold_weights(Dispersion(a), s)
             return
         if s < floor:
