@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datatypes import Dataset, Partition, Weights, check_finite, checked_grid, readonly_array
-from .errors import DimensionMismatch, EmptyData, GridMismatch, PartitionMismatch
+from .errors import DimensionMismatch, EmptyData, GridMismatch, NonFiniteDistances, PartitionMismatch
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def _between(d, part: Partition):
     """Moment-form between-cluster sum of squares of every column.
 
     sum_k S_k^2 / N_k - S^2 / N with S_k the cluster column sums; returns
-    the values clipped at zero and whether any needed clipping.
+    the values clipped at zero and whether any needed clipping. Squares past
+    float64 raise NonFiniteDistances naming the first such column.
     """
     if part.n_obs != d.n_obs:
         raise PartitionMismatch(
@@ -57,12 +58,18 @@ def _between(d, part: Partition):
     values = d.values
     sums = np.empty((part.k, values.shape[1]), dtype=np.float64)
     sizes = np.empty(part.k, dtype=np.float64)
-    for j in range(1, part.k + 1):
-        members = part.labels == j
-        sizes[j - 1] = np.count_nonzero(members)
-        sums[j - 1] = values[members].sum(axis=0)
-    total = values.sum(axis=0)
-    between = (sums * sums / sizes[:, None]).sum(axis=0) - total * total / d.n_obs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, part.k + 1):
+            members = part.labels == j
+            sizes[j - 1] = np.count_nonzero(members)
+            sums[j - 1] = values[members].sum(axis=0)
+        total = values.sum(axis=0)
+        between = (sums * sums / sizes[:, None]).sum(axis=0) - total * total / d.n_obs
+    if not np.isfinite(between).all():
+        raise NonFiniteDistances(
+            f"between-cluster sum of squares overflows float64 at feature "
+            f"{int(np.argmin(np.isfinite(between)))} (0-based)"
+        )
     clamped = bool(np.any(between < 0.0))
     if clamped:
         between = np.maximum(between, 0.0)

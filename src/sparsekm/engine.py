@@ -57,10 +57,6 @@ class KMeansConfig:
         whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
-def _row_sq_norms(z: np.ndarray) -> np.ndarray:
-    return np.add.reduce(z * z, axis=1)
-
-
 @functools.lru_cache(maxsize=1024)
 def _restart_draws(seed: int, n_init: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The kmeans++ draws of restarts 0..n_init-1 over n rows, read-only.
@@ -114,26 +110,22 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     return z[picks]
 
 
-def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray, ids=None) -> np.ndarray:
+def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The (S, k, a) cluster means of an (S, n) stack of 0-based labelings
-    with (S, k) cluster sizes: one one-hot product, then one division.
-    ``ids``, when given, is np.arange(k)[:, None], built once by a caller
-    that calls this at every step."""
-    if ids is None:
-        ids = np.arange(sizes.shape[1])[:, None]
-    return ((labels0[:, None, :] == ids) @ z) / sizes[:, :, None]
+    with (S, k) cluster sizes: one one-hot product, then one division."""
+    return ((labels0[:, None, :] == np.arange(sizes.shape[1])[:, None]) @ z) / sizes[:, :, None]
 
 
-def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter: int):
+def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
     """Lloyd iteration on an (S, k, a) stack of starts, run in lockstep.
 
-    ``sq_norms`` is _row_sq_norms(z). Returns (labels, wcss, steps), one row
-    or entry per start: the 0-based labels of its last assignment, their
-    within-cluster sum of squares and the number of assignments made. A
-    start leaves the stack at its fixed point, where its labels stop moving,
-    or after max_iter assignments. An empty cluster is re-seeded at the
-    observation farthest from its own centroid whose cluster keeps another
-    member, which never increases the criterion; no cluster is left empty.
+    Returns (labels, wcss, steps), one row or entry per start: the 0-based
+    labels of its last assignment, their within-cluster sum of squares and
+    the number of assignments made. A start leaves the stack at its fixed
+    point, where its labels stop moving, or after max_iter assignments. An
+    empty cluster is re-seeded at the observation farthest from its own
+    centroid whose cluster keeps another member, which never increases the
+    criterion; no cluster is left empty.
     With fewer than k distinct rows no reseed can separate the clusters, so
     TooFewDistinctRows is raised.
 
@@ -148,8 +140,9 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
     do at every shape the tests pin, where every start ends as it would
     alone, and can differ in the last bits at others, such as 60 x 60.
 
-    Besides the (S, n) labels, previous labels and flat offsets, at most two
-    S·n·k float64 arrays are alive at once: the distances and the doubled
+    Besides the (S, n) labels, previous labels and flat offsets, and the
+    n·a squares of z while the row norms are formed, at most two S·n·k
+    float64 arrays are alive at once: the distances and the doubled
     product while the distances are formed, and the float64 one-hot while
     the means are formed, once the distances are dropped.
     """
@@ -158,7 +151,7 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
     labels = np.empty((n_starts, n), dtype=np.intp)
     wcss, steps = np.empty(n_starts), np.empty(n_starts, dtype=np.intp)
     live, prev = np.arange(n_starts), np.full_like(labels, -1)
-    ids = np.arange(k)[:, None]
+    sq_norms = np.add.reduce(z * z, axis=1)
     # flat offsets of each start's sizes, and of each (start, row)'s distances among the live starts'
     offsets = k * live[:, None]
     row_offsets = offsets + n_starts * k * np.arange(n)
@@ -197,7 +190,7 @@ def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter:
             row_offsets = offsets[: live.size] + live.size * k * np.arange(n)
         prev = new
         del closest
-        centroids = _cluster_means(z, prev, sizes, ids)  # every cluster has a member after the reseeds
+        centroids = _cluster_means(z, prev, sizes)  # every cluster has a member after the reseeds
 
 
 def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
@@ -254,27 +247,32 @@ def _row_factor(z: np.ndarray) -> np.ndarray:
         return z
 
 
+def _check_start(k: int, n_obs: int, start: Partition | None) -> None:
+    """The one check of k and of a start partition against the data, made
+    before any transform, factor or seeding: KTooLarge when k exceeds n_obs,
+    PartitionMismatch when ``start`` has another k or number of observations."""
+    if k > n_obs:
+        raise KTooLarge(f"k={k} exceeds the {n_obs} observations")
+    if start is not None and (start.k != k or start.n_obs != n_obs):
+        raise PartitionMismatch(
+            f"start partition has k={start.k}, config has k={k}; "
+            f"it labels {start.n_obs} observations, data has {n_obs}"
+        )
+
+
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
-    """Best-of-restarts Lloyd in the transformed space.
+    """Best-of-restarts Lloyd in the transformed space, on a k and warm
+    start that _check_start has passed.
 
     The starts, the warm start (when given) followed by n_init seeded
     kmeans++ draws, run as one stack in _lloyd. The first smallest finite
     WCSS wins, so earlier starts win ties. Putting the warm start first makes
     the outer alternation's objective non-decreasing.
     """
-    k = cfg.k
-    if k > z.shape[0]:
-        raise KTooLarge(f"k={k} exceeds the {z.shape[0]} observations")
-    starts = _kmeanspp_init(z, k, cfg.seed, cfg.n_init)
+    starts = _kmeanspp_init(z, cfg.k, cfg.seed, cfg.n_init)
     if warm is not None:
-        if warm.n_obs != z.shape[0]:
-            raise PartitionMismatch(
-                f"warm-start partition labels {warm.n_obs} observations, data has {z.shape[0]}"
-            )
-        if warm.k != k:
-            raise PartitionMismatch(f"warm-start partition has k={warm.k}, config has k={k}")
         starts = np.concatenate((_cluster_means(z, warm.labels[None] - 1, warm.sizes()[None]), starts))
-    labels, wcss, _ = _lloyd(z, _row_sq_norms(z), starts, cfg.max_iter_lloyd)
+    labels, wcss, _ = _lloyd(z, starts, cfg.max_iter_lloyd)
     wcss = np.where(np.isfinite(wcss), wcss, np.inf)  # a NaN never wins
     best = int(np.argmin(wcss))
     if wcss[best] == np.inf:
@@ -282,7 +280,7 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
             "squared distances are not finite: no restart has a finite within-cluster "
             "sum of squares (the data's scale overflows float64)"
         )
-    return Partition(_canonical_labels(labels[best]), k), float(wcss[best])
+    return Partition(_canonical_labels(labels[best]), cfg.k), float(wcss[best])
 
 
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
@@ -292,6 +290,7 @@ def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = 
     ``cfg.k`` sets the number of clusters. An optional ``init_partition``
     joins the restart pool as a warm start and wins ties.
     """
+    _check_start(cfg.k, d.n_obs, init_partition)
     z = _row_factor(_transformed_matrix(d, w))
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
     return part
@@ -302,29 +301,24 @@ def uniform_weights(d) -> np.ndarray:
     return np.full(d.values.shape[1], 1.0 / np.sqrt(d.domain_measure))
 
 
-def _alternate(d, k, cfg, solve, dispersion, start=None):
+def _alternate(d, k, cfg, solve, start=None):
     """Shared alternating loop: dispersion -> weights -> partition.
 
-    ``solve`` maps a dispersion object to weights; ``dispersion`` maps a
-    partition to the dispersion object. The loop begins at ``start``, or,
-    when it is None, at weighted_kmeans under uniform_weights; that start
-    does not depend on the sparsity, so a caller fitting one dataset at
-    several sparsities can compute it once and pass it in. The weights are a
+    ``solve`` maps a dispersion object to weights; the dispersion is
+    bcss_pointwise on curves (``d.grid`` set), bcss_per_feature on vectors.
+    The loop begins at ``start``, or, when it is None, at weighted_kmeans
+    under uniform_weights; that start does not depend on the sparsity, so a
+    caller fitting one dataset at several sparsities can compute it once and
+    pass it in. The weights are a
     function of the partition, so the loop stops when the partition repeats:
     a fixed point, or a cycle, whose revisited partition is returned. A run
     capped by max_iter_outer is not converged. Either way the returned
     weights and the last trace entry belong to the returned partition.
     """
     cfg = replace(cfg, k=k)
-    if start is None:
-        part = weighted_kmeans(d, uniform_weights(d), cfg)
-    elif start.k != cfg.k or start.n_obs != d.n_obs:
-        raise PartitionMismatch(
-            f"start partition has k={start.k} over {start.n_obs} observations, "
-            f"expected k={cfg.k} over {d.n_obs}"
-        )
-    else:
-        part = start
+    _check_start(cfg.k, d.n_obs, start)
+    dispersion = bcss_per_feature if d.grid is None else bcss_pointwise
+    part = weighted_kmeans(d, uniform_weights(d), cfg) if start is None else start
     trace, seen = [], set()
     while True:
         disp = dispersion(d, part)
@@ -361,14 +355,7 @@ def sparse_kmeans_mv(
     require_grid(d, False, "sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
     m = count_m(m, d.n_features)
-    return _alternate(
-        d,
-        k,
-        cfg,
-        solve=lambda disp: hard_threshold_weights(disp, m),
-        dispersion=bcss_per_feature,
-        start=start,
-    )
+    return _alternate(d, k, cfg, lambda disp: hard_threshold_weights(disp, m), start)
 
 
 def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None = None) -> SparseClusterResult:
@@ -376,13 +363,7 @@ def soft_sparse_kmeans_mv(d: Dataset, k: int, s: float, cfg: KMeansConfig | None
     require_grid(d, False, "soft_sparse_kmeans_mv")
     cfg = cfg or KMeansConfig()
     s = l1_budget(s, d.n_features)
-    return _alternate(
-        d,
-        k,
-        cfg,
-        solve=lambda disp: soft_threshold_weights(disp, s),
-        dispersion=bcss_per_feature,
-    )
+    return _alternate(d, k, cfg, lambda disp: soft_threshold_weights(disp, s))
 
 
 def sparse_kmeans_fd(
@@ -397,14 +378,7 @@ def sparse_kmeans_fd(
     require_grid(d, True, "sparse_kmeans_fd")
     cfg = cfg or KMeansConfig()
     m = measure_m(m, float(np.sum(d.quad_weights)))
-    return _alternate(
-        d,
-        k,
-        cfg,
-        solve=lambda disp: functional_threshold_weights(disp, m),
-        dispersion=bcss_pointwise,
-        start=start,
-    )
+    return _alternate(d, k, cfg, lambda disp: functional_threshold_weights(disp, m), start)
 
 
 __all__ = [

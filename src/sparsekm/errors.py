@@ -87,7 +87,9 @@ class NonMonotoneObjective(NumericalError):
 
 
 class NonFiniteDistances(NumericalError):
-    """Squared distances overflowed, so no restart has a finite within-cluster sum of squares."""
+    """Squares of the data overflowed float64: no restart has a finite
+    within-cluster sum of squares, or a between-cluster dispersion score is
+    not finite (names the first such feature)."""
 
 
 class TiedMaximaFloor(NumericalError):

@@ -34,12 +34,14 @@ def derive_seed(seed: int, *path: int) -> int:
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws via the inverse CDF of open-interval uniforms.
 
-    The uniforms are (k + 0.5) * 2**-53 for k drawn from [0, 2**53), so they
-    lie strictly inside (0, 1) and the transform never hits an infinity.
-    Pinning the transform keeps draws reproducible across platforms. scipy
-    is imported here, so only the data generators pay for it.
+    The uniforms are (k + 0.5) * 2**-53 for k drawn from [0, 2**53), capped
+    at the largest float64 below 1 (k = 2**53 - 1 rounds to 1.0 otherwise),
+    so they lie strictly inside (0, 1) and the transform never hits an
+    infinity. Pinning the transform keeps draws reproducible across
+    platforms. scipy is imported here, so only the data generators pay for
+    it.
     """
     from scipy.special import ndtri
 
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return ndtri((k + 0.5) * 2.0**-53)
+    return ndtri(np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0)))

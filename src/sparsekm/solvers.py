@@ -22,29 +22,34 @@ from .errors import (
 )
 
 
+def _unit(b: np.ndarray) -> np.ndarray:
+    """b over its maximum, which must be positive. The weights are
+    scale-invariant in b, and on this scale their squared sums stay away
+    from under/overflow for extreme dispersion scales."""
+    return b / float(np.max(b))
+
+
 def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
     """Unit-norm weights proportional to b on its p - m largest entries.
 
     This is the exact maximizer of sum_j w_j b_j over nonnegative unit-L2
     weight vectors with at least m zeros: rank b descending (ties broken
     toward the lower index), keep the top p - m, normalize, zero the rest.
-    m is a whole number. Zero entries are never retained; if excluding
-    them shrinks the support below p - m, the realized m grows and the
-    result is flagged via ``support_shrunk``.
+    m is a whole number. Entries that are zero on the unit scale, b over
+    its maximum, are never retained; if excluding them shrinks the support
+    below p - m, the realized m grows and the result is flagged via
+    ``support_shrunk``.
     """
     b_arr = disp.b
     p = b_arr.size
     m_int = count_m(m, p)
-    n_pos = int(np.count_nonzero(b_arr > 0.0))
-    if n_pos == 0:
+    if not np.any(b_arr > 0.0):
         raise NonPositiveDispersion("no positive dispersion entry to retain")
+    u = _unit(b_arr)
     target = p - m_int
-    keep = min(target, n_pos)
-    order = np.argsort(-b_arr, kind="stable")
-    support = order[:keep]
-    # w is scale-invariant in b; normalizing by the max entry keeps the
-    # squared sums away from under/overflow for extreme dispersion scales.
-    vals = b_arr[support] / b_arr[support[0]]
+    keep = min(target, int(np.count_nonzero(u > 0.0)))
+    support = np.argsort(-b_arr, kind="stable")[:keep]
+    vals = u[support]
     w = np.zeros(p)
     w[support] = vals / np.sqrt(np.sum(vals * vals))
     return Weights(w, m=p - keep, support_shrunk=keep < target)
@@ -68,9 +73,7 @@ def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     s = l1_budget(s, p)
     if not np.any(a > 0.0):
         raise AllZeroAfterThreshold("every score is zero")
-    # w is scale-invariant in the scores; solving on a max-normalized copy
-    # keeps the squared sums away from under/overflow for extreme scales.
-    a = a / float(np.max(a))
+    a = _unit(a)
     norm = float(np.sqrt(np.sum(a * a)))
     if float(np.sum(a)) / norm <= s:  # maximum makes a -0.0 score a +0.0 weight
         return Weights(np.maximum(a, 0.0) / norm, m=int(np.count_nonzero(a == 0.0)))
@@ -146,13 +149,9 @@ def functional_threshold_weights(disp: Dispersion, m: float) -> Weights:
         raise DegenerateDispersion(
             f"no dispersion above the threshold level {k}"
         )
-    # w is scale-invariant in b; normalize by the retained max so the
-    # squared sums stay away from under/overflow for extreme scales.
-    u = b_arr / float(np.max(b_arr[mask]))
-    norm2 = float(np.sum(qw[mask] * u[mask] ** 2))
-    if norm2 <= 0.0:
-        raise DegenerateDispersion("retained support carries zero dispersion mass")
-    w = np.where(mask, u, 0.0) / np.sqrt(norm2)
+    # the maximum lies above the level, so the retained mass is positive
+    u = _unit(b_arr)
+    w = np.where(mask, u, 0.0) / np.sqrt(float(np.sum(qw[mask] * u[mask] ** 2)))
     return Weights(w, m=float(m), grid=disp.grid)
 
 

@@ -220,6 +220,18 @@ class TestCluster:
         assert code == 1
         assert "squared distances are not finite" in capsys.readouterr().err
 
+    def test_dispersion_overflow_exits_1(self, tmp_path, capsys):
+        # at 1e153 the distances stay finite but the dispersion's squared
+        # cluster sums overflow; the data causes it, so it is not a usage error
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        path, out = tmp_path / "big.csv", tmp_path / "o"
+        write_mv_csv(path, Dataset(d.values * 1e153))
+        code = run_cli("cluster", "--input", path, "--k", "3", "--m", "40", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: between-cluster sum of squares overflows float64 at feature")
+        assert not out.exists()
+
     def test_tied_maximal_scores_exit_1(self, tmp_path, capsys):
         # every column written twice: the two copies of the top feature tie,
         # and their L1 floor sqrt(2) lies above s = 1.2, an admissible budget

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from sparsekm.engine import (
     _lloyd,
     _restart_draws,
     _row_factor,
-    _row_sq_norms,
     _transformed_matrix,
     soft_sparse_kmeans_mv,
     sparse_kmeans_fd,
@@ -159,7 +159,7 @@ class TestWeightedKmeans:
 
 def _lloyd_alone(z, centroids, max_iter):
     """_lloyd on a stack of one start, unpacked to (labels, wcss, steps)."""
-    labels, wcss, steps = _lloyd(z, _row_sq_norms(z), centroids[None], max_iter)
+    labels, wcss, steps = _lloyd(z, centroids[None], max_iter)
     return labels[0], wcss[0], int(steps[0])
 
 
@@ -203,7 +203,7 @@ class TestLloydInternals:
         own_steps = sorted({a[2] for a in alone})
         assert len(own_steps) >= 3
         for cap in (own_steps[0], own_steps[1], 100):
-            labels, wcss, steps = _lloyd(z, _row_sq_norms(z), starts, cap)
+            labels, wcss, steps = _lloyd(z, starts, cap)
             for s, c in enumerate(starts):
                 want = _lloyd_alone(z, c, cap)
                 assert want[2] == min(alone[s][2], cap)
@@ -218,10 +218,10 @@ class TestLloydInternals:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(n, a))
         z[:, :3] += 3.0 * rng.normal(size=(k, 3))[rng.integers(k, size=n)]
-        sq_norms, starts = _row_sq_norms(z), z[rng.choice(n, size=(n_starts, k))]
+        starts = z[rng.choice(n, size=(n_starts, k))]
         tracemalloc.start()
         try:
-            _, _, steps = _lloyd(z, sq_norms, starts, 3)
+            _, _, steps = _lloyd(z, starts, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -448,6 +448,29 @@ class TestStart:
             sparse_kmeans_fd(fd, 3, 0.4, start=fd_truth)
         with pytest.raises(PartitionMismatch, match="observations"):
             sparse_kmeans_fd(fd, 2, 0.4, start=Partition(fd_truth.labels[1:], 2))
+
+    def test_checked_before_any_work(self, monkeypatch):
+        """A wrong k or a start of another k or length fails before any
+        transform, row factor, seeding, dispersion or K-means run."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the start check")
+
+        for name in ("_transformed_matrix", "_row_factor", "_kmeanspp_init", "bcss_per_feature"):
+            monkeypatch.setattr(engine, name, never)
+        d, truth = three_clouds(seed=15)
+        w, cfg = uniform_weights(d), KMeansConfig(k=3)
+        with pytest.raises(KTooLarge, match="k=37 exceeds the 36 observations"):
+            weighted_kmeans(d, w, replace(cfg, k=37))
+        with pytest.raises(PartitionMismatch, match="k=2, config has k=3"):
+            weighted_kmeans(d, w, cfg, init_partition=Partition(np.arange(36) % 2 + 1, 2))
+        with pytest.raises(PartitionMismatch, match="35 observations, data has 36"):
+            weighted_kmeans(d, w, cfg, init_partition=Partition(truth.labels[1:], 3))
+        monkeypatch.setattr(engine, "weighted_kmeans", never)
+        with pytest.raises(PartitionMismatch, match="35 observations, data has 36"):
+            sparse_kmeans_mv(d, 3, 1, start=Partition(truth.labels[1:], 3))
+        with pytest.raises(KTooLarge, match="k=37"):
+            sparse_kmeans_mv(d, 37, 1)
 
 
 # Reference copies of the Lloyd engine with no lockstep and no row norm
@@ -690,7 +713,7 @@ class TestMergeStop:
         z = rng.normal(size=(n, 2))
         labelings = np.stack([np.r_[np.arange(k), rng.integers(k, size=n - k)] for _ in wcss])
 
-        def fixed(z, sq_norms, centroids, max_iter):
+        def fixed(z, centroids, max_iter):
             assert centroids.shape[0] == len(wcss)
             return labelings.copy(), np.array(wcss, dtype=float), np.ones(len(wcss), dtype=np.intp)
 
@@ -826,6 +849,32 @@ class TestOverflow:
         d, _ = gen_mv(MvScenario(p=200, seed=0))
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
             sparse_kmeans_mv(Dataset(d.values * 1e160), 3, 100, KMeansConfig())
+
+    def test_dispersion_overflow_is_numerical(self):
+        """At 1e153 (vectors) and 1e152 (curves) the squared distances stay
+        finite, but the squared cluster sums of the dispersion overflow: a
+        NonFiniteDistances naming the first feature, with no warning."""
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        fd, _ = gen_fd(FdScenario(seed=0))
+        match = r"between-cluster sum of squares overflows float64 at feature \d+ \(0-based\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDistances, match=match):
+                sparse_kmeans_mv(Dataset(d.values * 1e153), 3, 40, KMeansConfig())
+            with pytest.raises(NonFiniteDistances, match=match):
+                sparse_kmeans_fd(Dataset(fd.values * 1e152, grid=fd.grid), 2, 0.5, KMeansConfig())
+
+
+class TestUnitScale:
+    def test_scores_that_underflow_shrink_the_support(self):
+        """Column 0 times 1e150 and column 1 times 1e-160: the second score
+        is 0 over the first, so the hard rule keeps 3 of 4 features even at
+        m = 0 and flags the shrink."""
+        d, _ = three_clouds(seed=0, n_per=20)
+        res = sparse_kmeans_mv(Dataset(d.values * [1e150, 1e-160, 1.0, 1.0]), 3, 0, KMeansConfig(seed=0))
+        assert res.weights.m == 1 and res.weights.support_shrunk
+        assert res.weights.w[1] == 0.0
+        assert np.all(res.partition.sizes() >= 1)
 
 
 class TestKindOfData:

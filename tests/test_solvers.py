@@ -87,6 +87,13 @@ class TestHardThreshold:
         with pytest.raises(NonPositiveDispersion):
             hard_threshold_weights(Dispersion(np.maximum(np.array([0.0, -2.0]), 0.0)), 0)
 
+    def test_scores_that_underflow_at_unit_scale_shrink_support(self):
+        # 1e-30 / 1e300 is 0 in float64: the entry is zero on the scale the
+        # weights are formed on, so it is not retained, and m grows to 1
+        wv = hard_threshold_weights(Dispersion(np.array([1e300, 1e-30, 1.0])), 0)
+        assert np.array_equal(wv.w, [1.0, 0.0, 1e-300])
+        assert wv.m == 1 and wv.support_shrunk
+
     def test_m_validation(self):
         disp = Dispersion(np.array([1.0, 2.0]))
         with pytest.raises(SparsityOutOfRange):

@@ -110,6 +110,21 @@ class TestPermuteCurvesWithinBlocks:
         permute_curves_within_blocks(vals, qw, 5, np.random.default_rng(0))
         assert np.array_equal(vals, before)
 
+    def test_more_blocks_than_grid_points(self):
+        """An empty block is skipped without a draw: each non-empty block, in
+        order, takes the next permutation of the stream."""
+        n, g, n_blocks = 6, 4, 10
+        vals = np.arange(float(n * g)).reshape(n, g)
+        qw = trapezoid_weights(np.linspace(0.0, 1.0, g))
+        blocks = subdomain_blocks(qw, n_blocks)
+        assert np.unique(blocks).size == g < n_blocks
+        out = permute_curves_within_blocks(vals, qw, n_blocks, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        want = vals.copy()
+        for b in np.unique(blocks):
+            want[:, blocks == b] = vals[rng.permutation(n)][:, blocks == b]
+        assert np.array_equal(out, want)
+
 
 class TestGapCurveType:
     def test_length_mismatch_rejected(self):
