@@ -57,6 +57,9 @@ class KMeansConfig:
         whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
+_SEED_BLOCK_CELLS = 1 << 16  # cells of the (B, n, a) array a kmeans++ step forms for B restarts at once
+
+
 @functools.lru_cache(maxsize=1024)
 def _restart_draws(seed: int, n_init: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The kmeans++ draws of restarts 0..n_init-1 over n rows, read-only.
@@ -87,26 +90,39 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     uniform integers(n): its stream is replayed up to the first of them and
     draws the rest. Every restart picks as it would drawing from its own
     stream one draw after another.
+
+    The restarts are seeded in blocks of B = _SEED_BLOCK_CELLS // (n·a), at
+    least one, so that one pick's D^2 rows of a whole block come from one
+    (B, n, a) array of at most _SEED_BLOCK_CELLS cells, or of one restart's
+    n·a. Each (n, a) slice of it has the layout of z, so every row is
+    reduced, summed and accumulated in the order, and with the bits, of its
+    restart seeded alone. A pick is the first index whose cumulative D^2
+    sum is above u·total, or n - 1 when none of the first n - 1 is: the
+    sums never fall, so this is searchsorted(side="right") capped at n - 1,
+    and a NaN total, which no sum is above, picks n - 1 as searchsorted does.
     """
-    n = z.shape[0]
+    n, a = z.shape
     firsts, uniforms = _restart_draws(seed, n_init, n, k)
     picks = np.empty((n_init, k), dtype=np.intp)
     picks[:, 0] = firsts
-    for r in range(n_init):
-        d2, rng = None, None
+    block = max(1, _SEED_BLOCK_CELLS // max(n * a, 1))
+    for lo in range(0, n_init, block):
+        p, u = picks[lo : lo + block], uniforms[lo : lo + block]
+        d2, rngs = None, {}
         for j in range(1, k):
-            row = np.add.reduce((z - z[picks[r, j - 1]]) ** 2, axis=1)
-            d2 = row if d2 is None else np.minimum(d2, row, out=d2)
-            total = float(np.add.reduce(d2))
-            if total <= 0.0:
-                if rng is None:  # replay the stream up to this draw
-                    rng = spawn_rng(seed, STREAM_RESTART, r)
-                    rng.integers(n)
-                    rng.random(j - 1)
-                picks[r, j] = rng.integers(n)
-            else:
-                r_total = uniforms[r, j - 1] * total
-                picks[r, j] = min(int(d2.cumsum().searchsorted(r_total, side="right")), n - 1)
+            rows = np.add.reduce((z - z[p[:, j - 1], None]) ** 2, axis=2)
+            d2 = rows if d2 is None else np.minimum(d2, rows, out=d2)
+            totals = np.add.reduce(d2, axis=1)
+            above = np.add.accumulate(d2, axis=1) > (u[:, j - 1] * totals)[:, None]
+            above[:, -1] = True
+            above.argmax(axis=1, out=p[:, j])
+            if not totals.all():  # a total is 0 or positive (or NaN)
+                for i in np.flatnonzero(totals == 0.0).tolist():
+                    if i not in rngs:  # replay the stream up to this draw
+                        rngs[i] = rng = spawn_rng(seed, STREAM_RESTART, lo + i)
+                        rng.integers(n)
+                        rng.random(j - 1)
+                    p[i, j] = rngs[i].integers(n)
     return z[picks]
 
 
@@ -194,10 +210,12 @@ def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
 
 
 def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
-    """Relabel 0-based cluster ids to 1..k by order of first appearance."""
-    _, first, inverse = np.unique(labels0, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    return (rank[inverse] + 1).astype(np.int64)
+    """Relabel 0-based cluster ids 0..k-1, each present, to 1..k by order of
+    first appearance: one (k, n) comparison finds each id's first position."""
+    first = (labels0 == np.arange(labels0.max() + 1)[:, None]).argmax(axis=1)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[first.argsort()] = np.arange(1, first.size + 1)
+    return rank[labels0]
 
 
 def _transformed_matrix(d, w) -> np.ndarray:

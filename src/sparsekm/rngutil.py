@@ -43,5 +43,7 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """
     from scipy.special import ndtri
 
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return ndtri(np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0)))
+    u = np.asarray(rng.integers(0, 1 << 53, size=shape, dtype=np.int64) + 0.5)
+    u *= 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    return ndtri(u, out=u)[()]  # a scalar for shape ()

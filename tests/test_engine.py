@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsekm import engine
@@ -685,6 +685,58 @@ class TestMergeStop:
                     got, want = _kmeanspp_init(z, k, seed, 7), _ref_seeding_stack(z, k, seed, 7)
                 assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        per_block=st.integers(1, 12),
+        edge=st.sampled_from([-1, 0, 1]),
+        n_init=st.integers(1, 12),
+        k=st.integers(2, 6),
+        rows=st.sampled_from(["gaussian", "rounded", "duplicated", "equal", "tiny"]),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=256, per_block=1, edge=0, n_init=12, k=6, rows="rounded", order="C", seed=1)  # n·a = 2**16
+    # blocks of 4, 4 and 2 restarts
+    @example(n=64, per_block=4, edge=0, n_init=10, k=4, rows="duplicated", order="F", seed=2)
+    def test_seeding_blocks_same_bits_as_reference(self, n, per_block, edge, n_init, k, rows, order, seed):
+        """Restarts seeded in blocks of 2**16 // (n·a) pick as the reference's
+        one after another: n·a below, at and above 2**16, with restart counts
+        the block size divides and does not divide, over tied, duplicated,
+        equal and underflowing rows, in C and in Fortran order (the transformed
+        matrices of the fits are often Fortran-ordered, and the order of a
+        row's sum follows the layout)."""
+        k = min(k, n)
+        a = max(1, (2**16 // per_block) // n + edge)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, a))
+        if rows == "rounded":
+            z = np.round(z)
+        elif rows == "duplicated":
+            z = z[rng.integers(max(1, n // 4), size=n)]
+        elif rows == "equal":
+            z = np.full((n, a), 2.5)
+        elif rows == "tiny":  # squared differences underflow to 0: a zero D^2 total
+            z *= 1e-170
+        z = np.asarray(z, order=order)
+        got = _kmeanspp_init(z, k, seed, n_init)
+        assert got.tobytes() == _ref_seeding_stack(z, k, seed, n_init).tobytes()
+
+    def test_seeding_peak_memory(self):
+        """A block never holds more than one restart's n·a cells when n·a
+        exceeds 2**16: one call at n = 10**5, a = 20 traces within 20 MB,
+        about one (n, a) array of differences besides the (n,) D^2 rows."""
+        n, a, k, n_init = 100_000, 20, 5, 10
+        z = np.random.default_rng(6).normal(size=(n, a))
+        tracemalloc.start()
+        try:
+            starts = _kmeanspp_init(z, k, 0, n_init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert starts.shape == (n_init, k, a)
+        assert peak <= 20_000_000, f"traced peak {peak} bytes"
+
     def test_restart_draws_are_fresh_stream_draws(self):
         for seed, n_init, n, k in ((0, 1, 8, 2), (5, 10, 60, 3), (2**40, 4, 1002, 5)):
             firsts, uniforms = _restart_draws(seed, n_init, n, k)
@@ -735,6 +787,25 @@ class TestMergeStop:
         assert part == parts[1] and part != parts[3] and best == 2.0
         part, _, parts = self._patched_pool(monkeypatch, [1.0, 1.0, 1.0])
         assert part == parts[0]
+
+
+class TestCanonicalLabels:
+    @staticmethod
+    def _unique_form(labels0):
+        _, first, inverse = np.unique(labels0, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+        return (rank[inverse] + 1).astype(np.int64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 8), tail=st.lists(st.integers(0, 7), max_size=40), seed=st.integers(0, 2**32))
+    def test_same_labels_as_unique_form(self, k, tail, seed):
+        """On every labeling Lloyd returns, ids 0..k-1 each present, the labels
+        of np.unique's first indices ranked, as int64."""
+        ids = np.r_[np.arange(k), np.asarray(tail, dtype=np.intp) % k]
+        labels0 = np.random.default_rng(seed).permutation(ids)
+        got = _canonical_labels(labels0)
+        assert got.dtype == np.int64
+        assert got.tobytes() == self._unique_form(labels0).tobytes()
 
 
 class TestRowFactor:

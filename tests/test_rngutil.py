@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
 from sparsekm.rngutil import standard_normal
@@ -24,3 +25,14 @@ def test_extreme_draws_are_finite_and_the_rest_keep_their_bits():
     assert out[-1] == ndtri(np.nextafter(1.0, 0.0)) and out[-1] > out[-2]
     want = ndtri((draws[:-1] + 0.5) * 2.0**-53)
     assert out[:-1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), 7, (0,), (2, 3), (60, 2000)])
+def test_same_bits_and_type_as_the_clamped_expression(shape):
+    def clamped(rng):
+        k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
+        return ndtri(np.minimum((k + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0)))
+
+    got, want = standard_normal(np.random.default_rng(11), shape), clamped(np.random.default_rng(11))
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
