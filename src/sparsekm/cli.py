@@ -134,11 +134,13 @@ def cmd_tune(args) -> int:
     cfg = _cfg_from(args, args.k)
     grid = None if args.m_grid is None else _parse_grid(args.m_grid)  # before the input is read
     if args.functional:
+        if args.truth_col is not None:
+            raise ValidationError("--truth-col names a column of a feature matrix; a curves CSV has none")
         data = dataio.read_fd_csv(args.input)
         tune, extra = tune_m_fd, {"n_subdomains": args.n_subdomains}
         default_grid = [data.domain_measure * i / 10.0 for i in range(1, 10)]
     else:
-        data, _ = dataio.read_mv_csv(args.input)
+        data, _ = dataio.read_mv_csv(args.input, args.truth_col)  # the labels are only dropped
         tune, extra = tune_m_mv, {}
         default_grid = sorted({int(round(v)) for v in np.linspace(0, data.n_features - 1, 10)})
     grid = default_grid if grid is None else grid
@@ -257,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune = subs.add_parser("tune", help="pick the sparsity level by permutation gap")
     tune.add_argument("--input", required=True)
     tune.add_argument("--functional", action="store_true", help="input is a curves CSV")
+    tune.add_argument("--truth-col", default=None,
+                      help="label column to drop from the features (name or 0-based index)")
     tune.add_argument("--k", type=int, required=True)
     tune.add_argument("--m-grid", default=None, help="comma-separated candidate levels")
     tune.add_argument("--b-perms", type=int, default=20)

@@ -12,6 +12,7 @@ repeats.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -301,22 +302,61 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     return Partition(_canonical_labels(labels[best]), cfg.k), float(wcss[best])
 
 
+# The row factor of at most one dataset under uniform_weights, keyed weakly by
+# that Dataset: dropped when it is collected, replaced by the next one formed.
+_UNIFORM_FACTOR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cold_row_factor(d, w) -> np.ndarray:
+    """_row_factor(_transformed_matrix(d, w)) for a call without a warm start.
+
+    When w is uniform_weights(d), entry for entry, and _row_factor factors
+    the transformed matrix (its active columns outnumber its rows), the
+    factor is held read-only against d, so the next such call on d returns
+    the same array without forming the transform, its Gram product and the
+    Cholesky factor again. Where _row_factor returns the transformed matrix
+    itself nothing is held: a rebuild there is only a copy, and holding it
+    would double the dataset's memory.
+    """
+    w = np.asarray(getattr(w, "w", w), dtype=np.float64)
+    uniform = w.shape == (d.values.shape[1],) and (w == _uniform_weight(d)).all()
+    if uniform and (held := _UNIFORM_FACTOR.get(d)) is not None:
+        return held
+    x = _transformed_matrix(d, w)
+    z = _row_factor(x)
+    if uniform and z is not x:
+        z.setflags(write=False)
+        _UNIFORM_FACTOR.clear()
+        _UNIFORM_FACTOR[d] = z
+    return z
+
+
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
     """K-means under a fixed feature weighting.
 
     ``w`` is a Weights or a bare array with one entry per column of ``d``;
     ``cfg.k`` sets the number of clusters. An optional ``init_partition``
-    joins the restart pool as a warm start and wins ties.
+    joins the restart pool as a warm start and wins ties. A repeated call
+    without one under uniform_weights on the same Dataset reuses the row
+    factor the last such call formed (see _cold_row_factor), with the same
+    result.
     """
     _check_start(cfg.k, d.n_obs, init_partition)
-    z = _row_factor(_transformed_matrix(d, w))
+    if init_partition is None:
+        z = _cold_row_factor(d, w)
+    else:
+        z = _row_factor(_transformed_matrix(d, w))
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
     return part
 
 
+def _uniform_weight(d) -> np.float64:
+    return 1.0 / np.sqrt(d.domain_measure)
+
+
 def uniform_weights(d) -> np.ndarray:
     """The no-selection weighting: constant, with unit (quadrature) L2 norm."""
-    return np.full(d.values.shape[1], 1.0 / np.sqrt(d.domain_measure))
+    return np.full(d.values.shape[1], _uniform_weight(d))
 
 
 def _alternate(d, k, cfg, solve, start=None):

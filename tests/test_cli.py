@@ -12,7 +12,7 @@ import pytest
 import sparsekm
 from sparsekm import cli
 from sparsekm.cli import build_parser, main
-from sparsekm.dataio import read_labels, write_fd_csv, write_labels, write_mv_csv
+from sparsekm.dataio import read_labels, read_mv_csv, write_fd_csv, write_labels, write_mv_csv
 from sparsekm.datatypes import Dataset, Partition
 from sparsekm.engine import KMeansConfig
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
@@ -393,6 +393,38 @@ class TestTune:
         assert code == 2
         assert "m must be a whole number, got 2.5" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+    def test_truth_col_drops_the_labels(self, tmp_path):
+        """--truth-col drops the dumped label column: the gap curve is that of
+        the p = 20 features alone."""
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "gaussian", "--p", "20", "--runs", "1", "--dump-data", "--out", sim) == 0
+        dump = sim / "data_run00.csv"
+        features = tmp_path / "features.csv"
+        data, _ = read_mv_csv(dump, "label")
+        assert data.n_features == 20
+        write_mv_csv(features, data)
+        args = ("--k", "3", "--m-grid", "5,10", "--b-perms", "2", "--n-init", "2")
+        assert run_cli("tune", "--input", dump, "--truth-col", "label", *args, "--out", tmp_path / "a") == 0
+        assert run_cli("tune", "--input", features, *args, "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a/gap_curve.csv").read_bytes() == (tmp_path / "b/gap_curve.csv").read_bytes()
+
+    def test_unknown_truth_col_exits_2(self, mv_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "tune_m_mv", _no_fit)
+        out = tmp_path / "o"
+        code = run_cli("tune", "--input", mv_csv, "--truth-col", "nope", "--k", "3", "--out", out)
+        assert code == 2
+        assert not out.exists()
+
+    def test_functional_truth_col_exits_2_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "tune", "--input", tmp_path / "absent.csv", "--functional", "--truth-col", "x",
+            "--k", "2", "--out", out,
+        )
+        assert code == 2
+        assert "--truth-col" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

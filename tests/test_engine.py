@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 import warnings
@@ -38,6 +39,7 @@ from sparsekm.errors import (
     TooFewDistinctRows,
     ValidationError,
 )
+from sparsekm.experiments import run_gaussian_benchmark
 from sparsekm.metrics import cer
 from sparsekm.rngutil import STREAM_RESTART, spawn_rng
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
@@ -857,6 +859,93 @@ class TestRowFactor:
             assert abs(got[1] - want[1]) <= 1e-12 * want[1]
             checked += 1
         assert checked == 30
+
+
+class TestUniformFactor:
+    """A cold uniform-weight call on a wide Dataset holds its row factor, so
+    the next such call on that Dataset reuses it; at most one is held."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self):
+        engine._UNIFORM_FACTOR.clear()
+        yield
+        engine._UNIFORM_FACTOR.clear()
+
+    @staticmethod
+    def wide(seed=0, p=200):
+        return gen_mv(MvScenario(p=p, seed=seed))[0]
+
+    def test_reused_factor_same_partition(self, monkeypatch):
+        d = self.wide(seed=4)
+        w = uniform_weights(d)
+        factor = _row_factor(_transformed_matrix(d, w))
+        for seed in (0, 9):
+            cfg = KMeansConfig(k=3, seed=seed)
+            engine._UNIFORM_FACTOR.clear()
+            cold = weighted_kmeans(d, w, cfg)
+            assert engine._UNIFORM_FACTOR[d].tobytes() == factor.tobytes()
+            monkeypatch.setattr(engine, "_row_factor", _no_row_factor)
+            warm = weighted_kmeans(d, uniform_weights(d), cfg)
+            monkeypatch.undo()
+            want, _ = _best_weighted_lloyd(factor, cfg, None)
+            assert cold.labels.tobytes() == warm.labels.tobytes() == want.labels.tobytes()
+
+    def test_gaussian_benchmark_factors_each_dataset_once(self, monkeypatch):
+        """Plain, soft and hard K-means each start from a uniform-weight call:
+        two datasets, two factors (six without the held one)."""
+        uniform, calls = [], []
+
+        def transformed(d, w):
+            z = _transformed_matrix(d, w)
+            if np.array_equal(np.asarray(getattr(w, "w", w)), uniform_weights(d)):
+                uniform.append(z)
+            return z
+
+        def factor(z):
+            calls.append(any(z is u for u in uniform))
+            return _row_factor(z)
+
+        monkeypatch.setattr(engine, "_transformed_matrix", transformed)
+        monkeypatch.setattr(engine, "_row_factor", factor)
+        run_gaussian_benchmark(p=200, runs=2)
+        assert sum(calls) == 2
+        assert len(calls) > 2  # the warm calls still factor their own weights
+
+    def test_at_most_one_held_and_released_with_its_dataset(self):
+        first, second = self.wide(seed=1), self.wide(seed=2)
+        cfg = KMeansConfig(k=3, n_init=2)
+        weighted_kmeans(first, uniform_weights(first), cfg)
+        assert len(engine._UNIFORM_FACTOR) == 1 and first in engine._UNIFORM_FACTOR
+        weighted_kmeans(second, uniform_weights(second), cfg)
+        assert len(engine._UNIFORM_FACTOR) == 1 and second in engine._UNIFORM_FACTOR
+        del second
+        gc.collect()
+        assert len(engine._UNIFORM_FACTOR) == 0
+
+    def test_held_factor_is_read_only(self):
+        d = self.wide()
+        weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=3, n_init=2))
+        held = engine._UNIFORM_FACTOR[d]
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
+
+    def test_nothing_held_unless_factored_under_uniform_weights(self):
+        """Not for a ≤ n columns, rows that repeat, other weights or a warm call."""
+        cfg = KMeansConfig(k=3, n_init=2)
+        narrow = self.wide(p=50)
+        assert narrow.n_features <= narrow.n_obs
+        repeated = Dataset(np.r_[self.wide().values, self.wide().values[:1]])
+        wide = self.wide()
+        start = weighted_kmeans(narrow, uniform_weights(narrow), cfg)
+        weighted_kmeans(repeated, uniform_weights(repeated), cfg)
+        weighted_kmeans(wide, uniform_weights(wide) * 2.0, cfg)
+        weighted_kmeans(wide, uniform_weights(wide), cfg, init_partition=start)
+        assert len(engine._UNIFORM_FACTOR) == 0
+
+
+def _no_row_factor(z):
+    raise AssertionError("the held factor was formed again")
 
 
 class TestPowerOfTwoScale:
