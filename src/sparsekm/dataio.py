@@ -256,18 +256,8 @@ def write_gap_curve(path, curve: GapCurve) -> None:
 def support_intervals(wf: Weights) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the weight function is positive."""
     require_grid(wf, True, "support_intervals")
-    mask = wf.w > 0.0
-    intervals = []
-    start = None
-    for i, on in enumerate(mask):
-        if on and start is None:
-            start = i
-        elif not on and start is not None:
-            intervals.append((float(wf.grid[start]), float(wf.grid[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(wf.grid[start]), float(wf.grid[-1])))
-    return intervals
+    edges = np.flatnonzero(np.diff(wf.w > 0.0, prepend=False, append=False))
+    return [(float(wf.grid[lo]), float(wf.grid[hi - 1])) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def _jsonable(value):

@@ -19,6 +19,7 @@ from .errors import (
     NonFinite,
     NonMonotoneGrid,
     NonMonotoneObjective,
+    PartitionMismatch,
     SOutOfRange,
     SparsityOutOfRange,
     ValidationError,
@@ -126,20 +127,15 @@ class Dataset:
     quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.grid is not None:
-            grid, qw = checked_grid(self.grid)
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "quad_weights", qw)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise EmptyData(f"expected a 2-d matrix, got ndim={values.ndim}")
         n, p = values.shape
         if n < 2:
             raise EmptyData(f"need at least 2 observations, got {n}")
-        if self.grid is not None and p != self.grid.size:
-            raise GridMismatch(f"curves sampled at {p} points, grid has {self.grid.size}")
         if p < 1:
             raise EmptyData("need at least 1 feature")
+        _store_grid(self, p, "curve")
         check_finite(values)
         object.__setattr__(self, "values", readonly_array(values))
         if self.feature_names is not None:
@@ -182,11 +178,43 @@ def checked_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     return readonly_array(grid), readonly_array(qw)
 
 
+def _store_grid(obj, size: int, what: str) -> None:
+    """The grid step of a validated type: check ``obj.grid`` with ``checked_grid``,
+    ask for ``size`` grid points, one per sample, then store the grid
+    and its masses. Without a grid every sample has unit mass; nothing is stored."""
+    if obj.grid is None:
+        return
+    grid, qw = checked_grid(obj.grid)
+    if grid.size != size:
+        raise GridMismatch(f"{size} {what} samples for a grid of {grid.size} points")
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, "quad_weights", qw)
+
+
+def _store_sample(obj, name: str, what: str, negative) -> np.ndarray:
+    """The sample step of a validated type: field ``name`` of ``obj`` as a non-empty
+    1-d vector, then the grid step, then finite, non-negative entries (``negative``
+    names the error of a negative one); stores and returns the read-only vector."""
+    v = np.asarray(getattr(obj, name), dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise EmptyData(f"{what} samples must form a non-empty 1-d vector")
+    _store_grid(obj, v.size, what)
+    check_finite(v, what)
+    if np.any(v < 0.0):
+        raise negative(f"negative {what} at index {int(np.argmax(v < 0.0))}")
+    v = readonly_array(v)
+    object.__setattr__(obj, name, v)
+    return v
+
+
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     """Trapezoidal quadrature masses for a strictly increasing grid.
 
     Endpoints get half the adjacent cell, interior points the average of
-    their two cells; the masses sum to the domain length exactly.
+    their two cells; the masses sum to the domain length up to rounding
+    (0.9999999999999998 on ``np.linspace(0, 1, 60)``). A curve fit's m is
+    range-checked against this sum, while ``uniform_weights`` uses the span
+    ``grid[-1] - grid[0]``.
     """
     qw = np.empty(grid.size, dtype=np.float64)
     qw[0] = (grid[1] - grid[0]) / 2.0
@@ -274,18 +302,8 @@ class Weights:
     quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise EmptyData("weights must be a non-empty 1-d vector")
-        qw = None
-        if self.grid is not None:
-            grid, qw = checked_grid(self.grid)
-            if w.shape != grid.shape:
-                raise GridMismatch(f"{w.size} weights for a grid of {grid.size} points")
-        check_finite(w, "weight")
-        if np.any(w < 0.0):
-            idx = int(np.argmax(w < 0.0))
-            raise SparsityOutOfRange(f"negative weight at index {idx}")
+        w = _store_sample(self, "w", "weight", SparsityOutOfRange)
+        qw = self.quad_weights
         norm = float(np.sqrt(np.sum(w * w if qw is None else qw * w * w)))
         if norm > 1.0 + EPS_NORM:
             raise SparsityOutOfRange(f"weight L2 norm {norm} exceeds 1")
@@ -297,15 +315,12 @@ class Weights:
         else:
             m = measure_m(self.m, float(np.sum(qw)))
             zero_measure = float(np.sum(qw[w == 0.0]))
-            cell = float(np.max(np.diff(grid)))
+            cell = float(np.max(np.diff(self.grid)))
             if zero_measure < m - cell:
                 raise SparsityOutOfRange(
                     f"zero-weight measure {zero_measure} undershoots m={m} "
                     f"by more than one grid cell ({cell})"
                 )
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "quad_weights", qw)
-        object.__setattr__(self, "w", readonly_array(w))
         object.__setattr__(self, "m", m)
 
     @property
@@ -320,6 +335,27 @@ class Weights:
         if self.quad_weights is None:
             return float(self.support.size)
         return float(np.sum(self.quad_weights[self.w > 0.0]))
+
+
+@dataclass(frozen=True)
+class Dispersion:
+    """Between-cluster separation per feature or per grid point.
+
+    The scores ``b`` form a non-empty, finite, non-negative 1-d vector.
+    ``grid``, when given, holds the abscissae of b, and ``quad_weights`` its
+    trapezoid masses; without a grid each sample has unit mass, as for feature
+    vectors. ``clamped`` records that cancellation produced small negative
+    values that were clipped to zero. This is the one input of the weight
+    solvers and of the objective, and the one place their scores are checked.
+    """
+
+    b: np.ndarray
+    grid: np.ndarray | None = None
+    clamped: bool = False
+    quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        _store_sample(self, "b", "dispersion", PartitionMismatch)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,46 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .datatypes import Dataset, Partition, Weights, check_finite, checked_grid, readonly_array
-from .errors import DimensionMismatch, EmptyData, GridMismatch, NonFiniteDistances, PartitionMismatch
-
-
-@dataclass(frozen=True)
-class Dispersion:
-    """Between-cluster separation per feature or per grid point.
-
-    The scores ``b`` form a non-empty, finite, non-negative 1-d vector.
-    ``grid``, when given, holds the abscissae of b, and ``quad_weights`` its
-    trapezoid masses; without a grid each sample has unit mass, as for feature
-    vectors. ``clamped`` records that cancellation produced small negative
-    values that were clipped to zero. This is the one input of the weight
-    solvers and of the objective, and the one place their scores are checked.
-    """
-
-    b: np.ndarray
-    grid: np.ndarray | None = None
-    clamped: bool = False
-    quad_weights: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
-        if b.ndim != 1 or b.size < 1:
-            raise EmptyData("dispersion must be a non-empty 1-d vector")
-        check_finite(b, "dispersion")
-        if np.any(b < 0.0):
-            idx = int(np.argmax(b < 0.0))
-            raise PartitionMismatch(f"negative dispersion at index {idx}")
-        object.__setattr__(self, "b", readonly_array(b))
-        if self.grid is not None:
-            grid, qw = checked_grid(self.grid)
-            if grid.shape != b.shape:
-                raise GridMismatch(f"{b.size} dispersion samples for a grid of {grid.size} points")
-            object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "quad_weights", qw)
+from .datatypes import Dataset, Dispersion, Partition, Weights
+from .errors import DimensionMismatch, NonFiniteDistances, PartitionMismatch
 
 
 def _between(d, part: Partition):

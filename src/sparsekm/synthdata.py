@@ -118,8 +118,7 @@ def gen_fd(s: FdScenario) -> tuple[Dataset, Partition]:
         a = A_MEAN + A_SD * standard_normal(rng, n)
         b = B_MEAN + B_SD * standard_normal(rng, n)
         c = c_mean + C_SD * standard_normal(rng, n)
-        for i in range(n):
-            curves[cls * n + i] = builder(grid, a[i], b[i], c[i])
+        curves[cls * n : (cls + 1) * n] = builder(grid, a[:, None], b[:, None], c[:, None])
     labels = np.repeat(np.array([1, 2], dtype=np.int64), n)
     return Dataset(curves, grid=grid), Partition(labels, 2)
 

@@ -38,31 +38,32 @@ class GapCurve:
     b_perms: int
 
     def __post_init__(self):
-        fields = [
-            np.asarray(self.m_grid, dtype=np.float64),
-            np.asarray(self.gap, dtype=np.float64),
-            np.asarray(self.obs_log_obj, dtype=np.float64),
-            np.asarray(self.perm_log_obj_mean, dtype=np.float64),
-            np.asarray(self.perm_log_obj_sd, dtype=np.float64),
-        ]
-        excluded = np.asarray(self.excluded, dtype=bool)
-        if any(f.shape != fields[0].shape for f in fields) or excluded.shape != fields[0].shape:
-            raise ValidationError("gap curve arrays must share one length")
-        names = ["m_grid", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd"]
-        for name, arr in zip(names, fields):
-            object.__setattr__(self, name, readonly_array(arr))
-        object.__setattr__(self, "excluded", readonly_array(excluded, dtype=bool))
+        shape = np.shape(self.m_grid)
+        for name in ("m_grid", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd", "excluded"):
+            arr = readonly_array(getattr(self, name), dtype=bool if name == "excluded" else np.float64)
+            if arr.shape != shape:
+                raise ValidationError("gap curve arrays must share one length")
+            object.__setattr__(self, name, arr)
         whole_fields(self, b_perms=1)
+
+
+def _shuffle_blocks(values: np.ndarray, blocks: np.ndarray, rng) -> np.ndarray:
+    """Reorder the rows of each non-empty contiguous block of columns by its own
+    ``rng.permutation(n)``, drawn in block order; ``blocks`` labels every column
+    and never decreases. Each draw copies only its block's columns."""
+    out = np.empty_like(values)
+    n = values.shape[0]
+    edges = np.flatnonzero(np.diff(blocks, prepend=-1, append=-1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[:, lo:hi] = values[rng.permutation(n), lo:hi]
+    return out
 
 
 def permute_feature_columns(values: np.ndarray, rng) -> np.ndarray:
     """Shuffle each column independently, killing feature-label structure
-    while preserving every marginal exactly."""
-    out = np.empty_like(values)
-    n = values.shape[0]
-    for j in range(values.shape[1]):
-        out[:, j] = values[rng.permutation(n), j]
-    return out
+    while preserving every marginal exactly: the block shuffle of curves
+    with one block per column."""
+    return _shuffle_blocks(values, np.arange(values.shape[1]), rng)
 
 
 def subdomain_blocks(quad_weights: np.ndarray, n_subdomains: int) -> np.ndarray:
@@ -92,16 +93,7 @@ def permute_curves_within_blocks(
     (e.g. permuting grid columns independently) would break smoothness
     entirely.
     """
-    blocks = subdomain_blocks(quad_weights, n_subdomains)
-    out = values.copy()
-    n = values.shape[0]
-    for b in range(n_subdomains):
-        cols = blocks == b
-        if not np.any(cols):
-            continue
-        perm = rng.permutation(n)
-        out[:, cols] = values[perm][:, cols]
-    return out
+    return _shuffle_blocks(values, subdomain_blocks(quad_weights, n_subdomains), rng)
 
 
 def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):

@@ -709,6 +709,26 @@ class TestSupportIntervals:
         wf = Weights(np.where(mask, c, 0.0), 0.35, grid=grid)
         assert support_intervals(wf) == [(float(grid[3]), 1.0)]
 
+    @given(mask=st.lists(st.booleans(), min_size=2, max_size=40))
+    def test_matches_a_walk_over_the_grid(self, mask):
+        """The intervals read off the edges of w > 0 are those of a walk over the grid."""
+        mask = np.array(mask)
+        grid = np.linspace(0.0, 1.0, mask.size)
+        qw = trapezoid_weights(grid)
+        w = np.where(mask, 1.0 / np.sqrt(max(float(qw[mask].sum()), 1e-300)), 0.0)
+        zero = float(qw[~mask].sum())
+        wf = Weights(w, zero / 2.0 if zero > 0.0 else float(qw.min()) / 2.0, grid=grid)
+        want, start = [], None
+        for i, on in enumerate(mask):
+            if on and start is None:
+                start = i
+            elif not on and start is not None:
+                want.append((float(grid[start]), float(grid[i - 1])))
+                start = None
+        if start is not None:
+            want.append((float(grid[start]), float(grid[-1])))
+        assert support_intervals(wf) == want
+
 
 class TestWriters:
     def test_weight_vector_round_trip(self, tmp_path):

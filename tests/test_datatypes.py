@@ -26,9 +26,11 @@ from sparsekm.errors import (
     NonMonotoneGrid,
     NonMonotoneObjective,
     NumericalError,
+    PartitionMismatch,
     SparsityOutOfRange,
     ValidationError,
 )
+from sparsekm.dispersion import Dispersion
 from sparsekm.synthdata import FdScenario, MvScenario, gen_mv
 
 
@@ -232,6 +234,49 @@ class TestWeightFunction:
             Weights(w, 0.25, grid=np.array([0.0, np.nan, 1.0]))
         with pytest.raises(NonMonotoneGrid, match="2"):
             Weights(w, 0.25, grid=np.array([0.0, 1.0, 0.5]))
+
+
+_GRID3 = np.array([0.0, 0.5, 1.0])
+_W3 = np.full(3, 0.5)  # zero weight measure 0 with m = 0.25 < one cell
+
+# One fault per input: (type, its arguments with the fault, the error it raises).
+SINGLE_FAULTS = [
+    pytest.param(Dataset, (np.zeros(3),), {}, EmptyData, id="Dataset-1d"),
+    pytest.param(Dataset, (np.zeros((1, 3)),), {}, EmptyData, id="Dataset-one-row"),
+    pytest.param(Dataset, (np.zeros((3, 0)),), {}, EmptyData, id="Dataset-no-column"),
+    pytest.param(Dataset, ([[0.0, np.nan, 1.0]] * 2,), {"grid": _GRID3}, NonFinite, id="Dataset-nan"),
+    pytest.param(Dataset, (np.zeros((2, 3)),), {"grid": _GRID3[:2]}, GridMismatch, id="Dataset-length"),
+    pytest.param(Dataset, (np.zeros((2, 1)),), {"grid": [0.0]}, EmptyData, id="Dataset-grid-1pt"),
+    pytest.param(Dataset, (np.zeros((2, 3)),), {"grid": [0.0, np.inf, 1.0]}, NonFinite, id="Dataset-grid-inf"),
+    pytest.param(Dataset, (np.zeros((2, 3)),), {"grid": [0.0, 1.0, 1.0]}, NonMonotoneGrid, id="Dataset-grid-tie"),
+    pytest.param(Dataset, (np.zeros((2, 3)),), {"grid": [0.0, 5e-324, 1.0]}, GridMismatch, id="Dataset-grid-mass"),
+    pytest.param(Weights, (np.zeros((2, 2)), 0), {}, EmptyData, id="Weights-2d"),
+    pytest.param(Weights, (np.zeros(0), 0.25), {"grid": _GRID3}, EmptyData, id="Weights-empty"),
+    pytest.param(Weights, ([0.5, np.nan, 0.5], 0.25), {"grid": _GRID3}, NonFinite, id="Weights-nan"),
+    pytest.param(Weights, ([0.0, -0.1, 1.0], 1), {}, SparsityOutOfRange, id="Weights-negative"),
+    pytest.param(Weights, ([0.5, -0.1, 0.5], 0.25), {"grid": _GRID3}, SparsityOutOfRange,
+                 id="Weights-negative-grid"),
+    pytest.param(Weights, (_W3, 0.25), {"grid": [0.0, 1.0]}, GridMismatch, id="Weights-length"),
+    pytest.param(Weights, (_W3, 0.25), {"grid": [0.0, 1.0, 0.5]}, NonMonotoneGrid, id="Weights-grid-order"),
+    pytest.param(Dispersion, (np.ones((2, 2)),), {}, EmptyData, id="Dispersion-2d"),
+    pytest.param(Dispersion, ([],), {}, EmptyData, id="Dispersion-empty"),
+    pytest.param(Dispersion, ([1.0, np.inf, 2.0],), {"grid": _GRID3}, NonFinite, id="Dispersion-inf"),
+    pytest.param(Dispersion, ([1.0, -0.5],), {}, PartitionMismatch, id="Dispersion-negative"),
+    pytest.param(Dispersion, ([1.0, -0.5, 1.0],), {"grid": _GRID3}, PartitionMismatch,
+                 id="Dispersion-negative-grid"),
+    pytest.param(Dispersion, ([1.0, 2.0, 3.0],), {"grid": [0.0, 1.0]}, GridMismatch, id="Dispersion-length"),
+    pytest.param(Dispersion, ([1.0, 2.0],), {"grid": [np.nan, 1.0]}, NonFinite, id="Dispersion-grid-nan"),
+    pytest.param(Dispersion, ([1.0],), {"grid": [1.0]}, EmptyData, id="Dispersion-grid-1pt"),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, error", SINGLE_FAULTS)
+def test_single_fault_raises_its_own_error(cls, args, kwargs, error):
+    """The three sampled types share one grid and one sample check; an input with
+    one fault raises the class named for that fault, and nothing more general."""
+    with pytest.raises(error) as info:
+        cls(*args, **kwargs)
+    assert type(info.value) is error
 
 
 class TestSparseClusterResult:

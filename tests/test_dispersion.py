@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sparsekm import datatypes, dispersion
 from sparsekm.datatypes import (
     Dataset,
     Partition,
@@ -126,6 +127,10 @@ class TestBcssPointwise:
         grid = np.array([0.0, 1.0])
         with pytest.raises(ValidationError):
             Dispersion(np.array([1.0, -0.5]), grid=grid)
+
+
+def test_dispersion_is_the_datatypes_type():
+    assert dispersion.Dispersion is datatypes.Dispersion
 
 
 class TestWeightedDistanceAndObjective:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from sparsekm.errors import ValidationError
+from sparsekm.rngutil import STREAM_DATASET, spawn_rng, standard_normal
 from sparsekm.synthdata import (
+    A_MEAN,
+    A_SD,
+    B_MEAN,
+    B_SD,
+    C_SD,
+    C_SHIFT,
     FdScenario,
     MvScenario,
     curve_alt,
@@ -133,6 +140,22 @@ class TestFdScenario:
         # to the curve scale on a 200-point grid
         d2 = np.abs(np.diff(fd.values, n=2, axis=1)).max()
         assert d2 < 0.1
+
+    @pytest.mark.parametrize("n_grid, n_per_class", [(200, 100), (40, 15), (60, 20), (7, 3)])
+    def test_curves_match_a_per_curve_loop(self, n_grid, n_per_class):
+        """One broadcast call per class gives the bytes of one call per curve,
+        with the coefficients drawn in the same order."""
+        for seed in range(10):
+            s = FdScenario(n_grid=n_grid, n_per_class=n_per_class, seed=seed)
+            grid = np.linspace(0.0, 1.0, n_grid)
+            rng = spawn_rng(seed, STREAM_DATASET)
+            want = []
+            for builder, c_mean in [(curve_main, 0.0), (curve_alt, C_SHIFT)]:
+                a = A_MEAN + A_SD * standard_normal(rng, n_per_class)
+                b = B_MEAN + B_SD * standard_normal(rng, n_per_class)
+                c = c_mean + C_SD * standard_normal(rng, n_per_class)
+                want += [builder(grid, a[i], b[i], c[i]) for i in range(n_per_class)]
+            assert gen_fd(s)[0].values.tobytes() == np.array(want).tobytes()
 
     def test_deterministic_per_seed(self):
         s = FdScenario(n_grid=60, n_per_class=5, seed=11)

@@ -53,6 +53,18 @@ class TestPermuteFeatureColumns:
         assert np.array_equal(vals, before)
 
 
+def test_feature_columns_are_unit_mass_blocks():
+    """A feature vector is a curve of unit masses with one-point subdomains: its
+    blocks are its columns, and both references draw the same bytes."""
+    for p in range(1, 5001):
+        assert np.array_equal(subdomain_blocks(np.ones(p), p), np.arange(p))
+    for p in (1, 2, 7, 50, 200):
+        vals = np.random.default_rng(p).normal(size=(30, p))
+        vec = permute_feature_columns(vals, np.random.default_rng(5))
+        curve = permute_curves_within_blocks(vals, np.ones(p), p, np.random.default_rng(5))
+        assert vec.tobytes() == curve.tobytes()
+
+
 class TestSubdomainBlocks:
     def test_uniform_grid_equal_blocks(self):
         qw = trapezoid_weights(np.linspace(0.0, 1.0, 200))
@@ -126,6 +138,20 @@ class TestPermuteCurvesWithinBlocks:
         assert np.array_equal(out, want)
 
 
+def test_block_shuffle_matches_a_loop_over_blocks():
+    """On tune-fd's grid, each non-empty block takes the next permutation of the
+    stream in block order, whatever the spacing."""
+    for grid in (np.linspace(0.0, 1.0, 200), np.sort(np.random.default_rng(2).uniform(0, 1, 200))):
+        vals = np.random.default_rng(4).normal(size=(50, 200))
+        qw = trapezoid_weights(grid)
+        blocks = subdomain_blocks(qw, 20)
+        out = permute_curves_within_blocks(vals, qw, 20, np.random.default_rng(9))
+        rng, want = np.random.default_rng(9), np.empty_like(vals)
+        for b in np.unique(blocks):
+            want[:, blocks == b] = vals[rng.permutation(50)][:, blocks == b]
+        assert out.tobytes() == want.tobytes()
+
+
 class TestGapCurveType:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -138,6 +164,12 @@ class TestGapCurveType:
                 np.array([False, False]),
                 3,
             )
+        two = np.array([1.0, 2.0])
+        for i in range(6):  # each array field in turn one entry short
+            fields = [two] * 5 + [np.array([False, False])]
+            fields[i] = fields[i][:1]
+            with pytest.raises(ValidationError, match="share one length"):
+                GapCurve(*fields, 3)
 
     def test_b_perms_validated(self):
         one = np.array([1.0])
