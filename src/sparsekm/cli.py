@@ -82,12 +82,13 @@ def _write_fit(args, result, truth, weights_name, write_weights, summary) -> int
 
 
 def cmd_cluster(args) -> int:
+    need, unused = ("m", "s") if args.method == "hard" else ("s", "m")
+    if getattr(args, need) is None:
+        raise ValidationError(f"--method {args.method} requires --{need}")
+    if getattr(args, unused) is not None:  # summary.json records only what the fit used
+        raise ValidationError(f"--method {args.method} takes no --{unused}")
     if args.m is not None:
         args.m = whole_m(args.m)  # summary.json records the int
-    if args.method == "hard" and args.m is None:
-        raise ValidationError("--method hard requires --m")
-    if args.method == "soft" and args.s is None:
-        raise ValidationError("--method soft requires --s")
     cfg = _cfg_from(args, args.k)
     data, truth = dataio.read_mv_csv(args.input, args.truth_col)
     if args.method == "hard":

@@ -42,7 +42,7 @@ def readonly_array(a, dtype=np.float64) -> np.ndarray:
 
 
 def check_finite(values: np.ndarray, what: str = "value") -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0]
         pos = tuple(int(i) for i in bad)
         raise NonFinite(f"non-finite {what} at index {pos[0] if len(pos) == 1 else pos}")
@@ -191,17 +191,23 @@ def _store_grid(obj, size: int, what: str) -> None:
     object.__setattr__(obj, "quad_weights", qw)
 
 
+def check_sample(v: np.ndarray, what: str, negative) -> None:
+    """The one value rule of sampled weights and scores: NonFinite names the first
+    entry that is not finite, then ``negative`` the first negative one."""
+    check_finite(v, what)
+    if (v < 0.0).any():
+        raise negative(f"negative {what} at index {int(np.argmax(v < 0.0))}")
+
+
 def _store_sample(obj, name: str, what: str, negative) -> np.ndarray:
     """The sample step of a validated type: field ``name`` of ``obj`` as a non-empty
-    1-d vector, then the grid step, then finite, non-negative entries (``negative``
-    names the error of a negative one); stores and returns the read-only vector."""
+    1-d vector, then the grid step, then ``check_sample``; stores and returns the
+    read-only vector."""
     v = np.asarray(getattr(obj, name), dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise EmptyData(f"{what} samples must form a non-empty 1-d vector")
     _store_grid(obj, v.size, what)
-    check_finite(v, what)
-    if np.any(v < 0.0):
-        raise negative(f"negative {what} at index {int(np.argmax(v < 0.0))}")
+    check_sample(v, what, negative)
     v = readonly_array(v)
     object.__setattr__(obj, name, v)
     return v
@@ -337,7 +343,7 @@ class Weights:
         return float(np.sum(self.quad_weights[self.w > 0.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dispersion:
     """Between-cluster separation per feature or per grid point.
 

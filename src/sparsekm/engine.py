@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datatypes import Dataset, Partition, SparseClusterResult, count_m, l1_budget, measure_m, require_grid, whole_fields
+from .datatypes import (Dataset, Partition, SparseClusterResult, check_sample, count_m, l1_budget, measure_m,
+                        require_grid, whole_fields)
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -219,7 +220,7 @@ def _canonical_labels(labels0: np.ndarray) -> np.ndarray:
     return rank[labels0]
 
 
-def _transformed_matrix(d, w) -> np.ndarray:
+def _transformed_matrix(d, w: np.ndarray) -> np.ndarray:
     """Columns scaled by sqrt(weight times sample mass); unit masses for vectors.
 
     Only the columns whose scale is positive are kept. A zero-weight column
@@ -227,14 +228,7 @@ def _transformed_matrix(d, w) -> np.ndarray:
     centroids run on the active columns alone: p - m of them, not p, under
     hard-threshold weights.
     """
-    w_arr = np.asarray(getattr(w, "w", w), dtype=np.float64)
-    if w_arr.shape != (d.values.shape[1],):
-        raise DimensionMismatch(
-            f"weights length {w_arr.size} does not match the {d.values.shape[1]} columns"
-        )
-    scale = w_arr if d.quad_weights is None else d.quad_weights * w_arr
-    if np.any(scale < 0.0):
-        raise SparsityOutOfRange("weights must be nonnegative")
+    scale = w if d.quad_weights is None else d.quad_weights * w
     active = scale > 0.0
     return d.values[:, active] * np.sqrt(scale[active])[None, :]
 
@@ -279,6 +273,18 @@ def _check_start(k: int, n_obs: int, start: Partition | None) -> None:
         )
 
 
+def _checked_weights(d, w) -> np.ndarray:
+    """The one check of a weighting against the data, made before any
+    transform, factor or seeding: ``w``, a Weights or a bare array, as a
+    float64 array. DimensionMismatch unless it has one entry per column,
+    then check_sample's NonFinite or SparsityOutOfRange."""
+    w = np.asarray(getattr(w, "w", w), dtype=np.float64)
+    if w.shape != (d.n_features,):
+        raise DimensionMismatch(f"weights of shape {w.shape} for the {d.n_features} columns")
+    check_sample(w, "weight", SparsityOutOfRange)
+    return w
+
+
 def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     """Best-of-restarts Lloyd in the transformed space, on a k and warm
     start that _check_start has passed.
@@ -307,45 +313,29 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
 _UNIFORM_FACTOR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _cold_row_factor(d, w) -> np.ndarray:
-    """_row_factor(_transformed_matrix(d, w)) for a call without a warm start.
-
-    When w is uniform_weights(d), entry for entry, and _row_factor factors
-    the transformed matrix (its active columns outnumber its rows), the
-    factor is held read-only against d, so the next such call on d returns
-    the same array without forming the transform, its Gram product and the
-    Cholesky factor again. Where _row_factor returns the transformed matrix
-    itself nothing is held: a rebuild there is only a copy, and holding it
-    would double the dataset's memory.
-    """
-    w = np.asarray(getattr(w, "w", w), dtype=np.float64)
-    uniform = w.shape == (d.values.shape[1],) and (w == _uniform_weight(d)).all()
-    if uniform and (held := _UNIFORM_FACTOR.get(d)) is not None:
-        return held
-    x = _transformed_matrix(d, w)
-    z = _row_factor(x)
-    if uniform and z is not x:
-        z.setflags(write=False)
-        _UNIFORM_FACTOR.clear()
-        _UNIFORM_FACTOR[d] = z
-    return z
-
-
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
     """K-means under a fixed feature weighting.
 
-    ``w`` is a Weights or a bare array with one entry per column of ``d``;
-    ``cfg.k`` sets the number of clusters. An optional ``init_partition``
-    joins the restart pool as a warm start and wins ties. A repeated call
-    without one under uniform_weights on the same Dataset reuses the row
-    factor the last such call formed (see _cold_row_factor), with the same
-    result.
+    ``w`` is a Weights or a bare array, checked by _checked_weights; ``cfg.k``
+    sets the number of clusters. An optional ``init_partition`` joins the
+    restart pool as a warm start and wins ties. Under uniform_weights(d),
+    entry for entry, a factor _row_factor forms (the active columns outnumber
+    the rows) is held read-only against d, and the next such call on d
+    reuses it with the same result. Nothing is held where Lloyd runs on the
+    transformed matrix itself: its rebuild is only a copy, and holding it
+    would double the dataset's memory.
     """
     _check_start(cfg.k, d.n_obs, init_partition)
-    if init_partition is None:
-        z = _cold_row_factor(d, w)
-    else:
-        z = _row_factor(_transformed_matrix(d, w))
+    w = _checked_weights(d, w)
+    uniform = (w == _uniform_weight(d)).all()
+    z = _UNIFORM_FACTOR.get(d) if uniform else None
+    if z is None:
+        x = _transformed_matrix(d, w)
+        z = _row_factor(x)
+        if uniform and z is not x:
+            z.setflags(write=False)
+            _UNIFORM_FACTOR.clear()
+            _UNIFORM_FACTOR[d] = z
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
     return part
 

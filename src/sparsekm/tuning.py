@@ -21,7 +21,7 @@ from .errors import DegenerateObjective, NumericalError, SparsityOutOfRange, Val
 from .rngutil import STREAM_PERMUTE, derive_seed, spawn_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapCurve:
     """Per-candidate diagnostics from a tuning run.
 

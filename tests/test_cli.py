@@ -124,6 +124,17 @@ class TestCluster:
         assert code == 2
         assert "requires --s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, given, unused", [("soft", ("--s", "2", "--m", "3"), "--m"),
+                                                       ("hard", ("--m", "3", "--s", "2"), "--s")])
+    def test_option_of_the_other_method_exits_2_before_reading_input(self, tmp_path, capsys,
+                                                                       method, given, unused):
+        """summary.json records the options a fit used, so the other method's is refused."""
+        code = run_cli("cluster", "--input", tmp_path / "absent.csv", "--k", "3", "--method", method,
+                       *given, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"--method {method} takes no {unused}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "cluster", "--input", tmp_path / "absent.csv", "--k", "2",

@@ -2,14 +2,18 @@ import csv
 import itertools
 import json
 import locale
+import math
 import os
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsekm import cli, dataio
@@ -32,7 +36,7 @@ from sparsekm.datatypes import (
     Weights,
     trapezoid_weights,
 )
-from sparsekm.errors import EmptyData, GridMismatch, ValidationError
+from sparsekm.errors import EmptyData, GridMismatch, NonFinite, ValidationError
 from sparsekm.metrics import cer
 from sparsekm.tuning import GapCurve
 
@@ -505,6 +509,42 @@ class TestFastPath:
         assert (header, matrix.tolist()) == (["x", "y"], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert spies.fast.seen == [["3,4\n", "5,6\n"]]
         assert [len(rows) for rows in spies.exact.seen] == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=_CELLS.filter(lambda c: '"' not in c),
+           where=st.sampled_from(["first row", "fast block", "after fallback"]))
+    def test_one_grammar_for_a_cell(self, cell, where):
+        """read_mv_csv reads a cell exactly when float() reads it, with float()'s
+        bits: in the first data row (the exact reader), in a block np.loadtxt
+        reads, or after a quoted cell has sent the rest to the exact reader.
+        A cell float() reads as NaN or ±inf is read, then refused by Dataset."""
+        rows = [[str(i), str(i)] for i in range(1, 8)]  # blocks of 2 lines: rows 2-3, 4-5, 6-7
+        row = {"first row": 1, "fast block": 4, "after fallback": 6}[where]
+        if where == "after fallback":
+            rows[1][0] = '"2"'
+        rows[row - 1][0] = cell
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataio, "_BLOCK_CELLS", 4):
+            path = Path(tmp) / "cell.csv"
+            try:
+                path.write_text("a,b\n" + "".join(",".join(r) + "\n" for r in rows),
+                                encoding=locale.getpreferredencoding(False))
+            except UnicodeEncodeError:
+                assume(False)
+            try:
+                want = float(cell)
+            except ValueError:
+                with pytest.raises(ValidationError) as err:
+                    read_mv_csv(path)
+                assert str(err.value) == f"{path}: cannot parse field ({row}, 1): {cell!r}"
+                return
+            if not math.isfinite(want):
+                with pytest.raises(NonFinite, match=rf"index \({row - 1}, 0\)"):
+                    read_mv_csv(path)
+                return
+            d, _ = read_mv_csv(path)
+        expected = [[float(i), float(i)] for i in range(1, 8)]
+        expected[row - 1][0] = want
+        assert _bits(d.values) == _bits(expected)
 
 
 class TestWritersByteStable:

@@ -279,6 +279,13 @@ def test_single_fault_raises_its_own_error(cls, args, kwargs, error):
     assert type(info.value) is error
 
 
+def test_dispersion_compares_by_identity():
+    """As Dataset and Weights: == gives a bool, and hash() works."""
+    a, b = Dispersion(np.array([1.0, 2.0])), Dispersion(np.array([1.0, 2.0]))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 class TestSparseClusterResult:
     def _mk(self, trace):
         part = Partition(np.array([1, 2]), 2)

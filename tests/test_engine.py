@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsekm import engine
-from sparsekm.datatypes import Dataset, Partition, objective_slack
+from sparsekm.datatypes import Dataset, Partition, Weights, objective_slack
 from sparsekm.dispersion import bcss_per_feature, weighted_objective
 from sparsekm.engine import (
     KMeansConfig,
@@ -29,8 +29,10 @@ from sparsekm.engine import (
     weighted_kmeans,
 )
 from sparsekm.errors import (
+    DimensionMismatch,
     GridMismatch,
     KTooLarge,
+    NonFinite,
     NonFiniteDistances,
     NumericalError,
     PartitionMismatch,
@@ -394,6 +396,48 @@ def sparse_weight_cases(n_cases=40):
         w[int(rng.integers(p))] = 1.0  # at least one active column
         k = int(rng.integers(2, min(n, 5) + 1))
         yield d, w, KMeansConfig(k=k, n_init=3, seed=case)
+
+
+class TestWeightsCheck:
+    """A weighting is checked once, before any transform, row factor or
+    seeding: a bad one raises its own ValidationError and no RuntimeWarning."""
+
+    BAD = [
+        pytest.param(lambda w: w[:-1], DimensionMismatch, id="short"),
+        pytest.param(lambda w: np.r_[w, w[0]], DimensionMismatch, id="long"),
+        pytest.param(lambda w: w[None], DimensionMismatch, id="2d"),
+        pytest.param(lambda w: np.r_[-w[0], w[1:]], SparsityOutOfRange, id="negative"),
+        pytest.param(lambda w: np.r_[w[:1], np.nan, w[2:]], NonFinite, id="nan"),
+        pytest.param(lambda w: np.r_[w[:1], np.inf, w[2:]], NonFinite, id="inf"),
+        pytest.param(lambda w: np.r_[w[:1], -np.inf, w[2:]], NonFinite, id="-inf"),
+    ]
+
+    @pytest.mark.parametrize("bad, error", BAD)
+    def test_raises_before_any_work(self, monkeypatch, bad, error):
+        def never(*args, **kwargs):
+            raise AssertionError("work began before the weights check")
+
+        for name in ("_transformed_matrix", "_row_factor", "_kmeanspp_init"):
+            monkeypatch.setattr(engine, name, never)
+        d, _ = three_clouds(seed=16)
+        fd, _ = two_curve_clusters(seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data, k in ((d, 3), (fd, 2)):
+                w = bad(uniform_weights(data))
+                cfg, start = KMeansConfig(k=k), Partition(np.arange(data.n_obs) % k + 1, k)
+                for call in (lambda: engine._checked_weights(data, w),
+                             lambda: weighted_kmeans(data, w, cfg),
+                             lambda: weighted_kmeans(data, w, cfg, init_partition=start)):
+                    with pytest.raises(error) as info:
+                        call()
+                    assert type(info.value) is error
+
+    def test_weights_of_another_length(self):
+        d, _ = three_clouds(seed=16)
+        other = Weights(np.full(d.n_features + 1, 1.0 / np.sqrt(d.n_features + 1)), 0)
+        with pytest.raises(DimensionMismatch, match=r"shape \(5,\) for the 4 columns"):
+            weighted_kmeans(d, other, KMeansConfig(k=3))
 
 
 class TestActiveColumns:
@@ -931,7 +975,7 @@ class TestUniformFactor:
             held[0, 0] = 1.0
 
     def test_nothing_held_unless_factored_under_uniform_weights(self):
-        """Not for a ≤ n columns, rows that repeat, other weights or a warm call."""
+        """Not for a ≤ n columns, rows that repeat or other weights."""
         cfg = KMeansConfig(k=3, n_init=2)
         narrow = self.wide(p=50)
         assert narrow.n_features <= narrow.n_obs
@@ -940,11 +984,25 @@ class TestUniformFactor:
         start = weighted_kmeans(narrow, uniform_weights(narrow), cfg)
         weighted_kmeans(repeated, uniform_weights(repeated), cfg)
         weighted_kmeans(wide, uniform_weights(wide) * 2.0, cfg)
-        weighted_kmeans(wide, uniform_weights(wide), cfg, init_partition=start)
+        weighted_kmeans(wide, uniform_weights(wide) * 2.0, cfg, init_partition=start)
         assert len(engine._UNIFORM_FACTOR) == 0
 
+    def test_warm_call_holds_and_reuses_the_factor(self, monkeypatch):
+        """Whether the factor is held or reused is decided by the weights
+        alone: a warm call under uniform weights takes the same path."""
+        d = self.wide(seed=5)
+        w, cfg = uniform_weights(d), KMeansConfig(k=3, n_init=2, seed=3)
+        start = Partition(np.arange(d.n_obs) % 3 + 1, 3)
+        first = weighted_kmeans(d, w, cfg, init_partition=start)
+        factor = engine._UNIFORM_FACTOR[d]
+        monkeypatch.setattr(engine, "_transformed_matrix", _no_row_factor)
+        monkeypatch.setattr(engine, "_row_factor", _no_row_factor)
+        again = weighted_kmeans(d, w, cfg, init_partition=start)
+        want, _ = _best_weighted_lloyd(factor, cfg, start)
+        assert first.labels.tobytes() == again.labels.tobytes() == want.labels.tobytes()
 
-def _no_row_factor(z):
+
+def _no_row_factor(*args):
     raise AssertionError("the held factor was formed again")
 
 

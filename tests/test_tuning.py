@@ -176,6 +176,13 @@ class TestGapCurveType:
         with pytest.raises(ValidationError):
             GapCurve(one, one, one, one, one, np.array([False]), 0)
 
+    def test_compares_by_identity(self):
+        """== gives a bool, and hash() works."""
+        one = np.array([1.0])
+        a, b = (GapCurve(one, one, one, one, one, np.array([False]), 3) for _ in range(2))
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestOneSdRule:
     def test_walks_back_to_sparser_candidate(self):
