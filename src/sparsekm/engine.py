@@ -59,7 +59,10 @@ class KMeansConfig:
         whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
-_SEED_BLOCK_CELLS = 1 << 16  # cells of the (B, n, a) array a kmeans++ step forms for B restarts at once
+_SEED_BLOCK_CELLS = 1 << 16  # cells of the (B, n, a) array an exact kmeans++ step forms for B restarts at once
+_UNIT = 2.0**-53  # the unit roundoff u of float64
+_TINY = 2.0**-1022  # the smallest normal float64
+_NORM_CAP = np.finfo(np.float64).max / 8  # n times the largest squared row norm the bounds take
 
 
 @functools.lru_cache(maxsize=1024)
@@ -85,13 +88,73 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     """D^2-sampled initial centroids (kmeans++ style) of n_init restarts, as
     a fresh (n_init, k, a) stack.
 
-    Restart r takes its draws from _restart_draws. A D^2 row is computed
-    only for the picks whose distances a later draw reads, so never for the
-    last one. Where the D^2 total of restart r is not positive, every D^2
-    entry is 0 and stays 0, so this and every later pick of the restart is a
-    uniform integers(n): its stream is replayed up to the first of them and
-    draws the rest. Every restart picks as it would drawing from its own
-    stream one draw after another.
+    Restart r takes its draws from _restart_draws. Its picks are those of
+    its exact D^2 rows, the sums of squared differences of _exact_picks, and
+    each of its picks is the first index whose cumulative D^2 sum is above
+    the threshold fl(u_r·T), T the D^2 total, or n - 1 when none is.
+    _certified_picks picks every restart first from one product per pick
+    and proves, from bounds on those rows, that the exact rows would pick
+    the same; the restarts it cannot certify, and only those, are picked
+    again by _exact_picks, each under its own restart index, so that a zero
+    total replays its own stream. Every restart picks as it would drawing
+    from its own stream one draw after another.
+
+    The bounds follow Higham, "Accuracy and Stability of Numerical
+    Algorithms" (2nd ed.), ch. 3, with u = 2^-53 and g_m = mu/(1 - mu).
+    Rows are compared with the Gram form D~_i = s_i + s_p - 2 z_i·z_p of
+    the row norms s, whose true value is t_i = |z_i - z_p|^2:
+
+    - An exact row, a sum of non-negative rounded squares of rounded
+      differences, is within g_(a+2)·t_i of t_i in any summation order; the
+      Gram form, in any BLAS order and with or without FMA, within
+      g_(a+3)·(|z_i|^2 + |z_p|^2 + 2|z_i·z_p|). With N = s_i + s_p,
+      t_i <= 2N and 2|z_i·z_p| <= N, so the two lie within 4·g_(a+3)·N of
+      each other, and underflow adds less than a·2^-1022. The radius
+      r = 8(a + 8)u·N + a·2^-1022 leaves room for its own roundings and
+      those of lo = max(D~ - r, 0) and hi = D~ + r, which bound the exact
+      row. For k >= 3 the running minima of the lo rows and of the hi rows,
+      taken apart, bound the exact running minimum.
+    - A sum of n non-negative terms is within g_n of its true sum in any
+      order, and an addition that underflows is exact. With w = 4(n + 8)u,
+      (1 - w)·CL and (1 + w)·CH, CL and CH the cumulative sums of the lo and
+      hi rows, bound the exact cumulative sums and the exact total T. As
+      rounding is monotone, the thresholds fl(u_r(1 - w)^2·CL[-1]) and
+      fl(u_r(1 + w)^2·CH[-1]) lie on either side of fl(u_r·T), and where
+      they are normal, their second factor (1 -/+ w) carries the widening of
+      the CH and CL they are compared with. Below 2^-1022 the sums at or
+      under a threshold were formed exactly, and the a·2^-1022 of the radius
+      lifts the exact sums above them past 2^-1022.
+    - The cumulative sums never fall, so the n_lo indices whose CH is at or
+      below the low threshold are not above the exact one, and every index
+      past the n_hi whose CL is at or below the high threshold is. A pick
+      min(n_hi, n - 1) is certified when n_lo reaches it: the exact pick lies
+      between the two.
+
+    A zero exact total is never certified, since every hi entry is at least
+    a·2^-1022, so n_lo = 0 while n_hi = n. Nothing is certified when a = 0,
+    or when a squared row norm is above _NORM_CAP / n or not finite, so that
+    every bound, sum and threshold is finite; the exact picks there make the
+    RuntimeWarnings they make alone.
+    """
+    firsts, uniforms = _restart_draws(seed, n_init, z.shape[0], k)
+    picks = np.empty((n_init, k), dtype=np.intp)
+    picks[:, 0] = firsts
+    redo = np.flatnonzero(~_certified_picks(z, picks, uniforms))
+    if redo.size:
+        _exact_picks(z, picks, uniforms, seed, redo)
+    return z[picks]
+
+
+def _exact_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray, seed: int, restarts: np.ndarray) -> None:
+    """Write the picks after the first of the given restarts into ``picks``,
+    from their exact D^2 rows.
+
+    A D^2 row is computed only for the picks whose distances a later draw
+    reads, so never for the last one. Where the D^2 total of restart r is
+    not positive, every D^2 entry is 0 and stays 0, so this and every later
+    pick of the restart is a uniform integers(n): its stream
+    spawn_rng(seed, STREAM_RESTART, r) is replayed up to the first of them
+    and draws the rest.
 
     The restarts are seeded in blocks of B = _SEED_BLOCK_CELLS // (n·a), at
     least one, so that one pick's D^2 rows of a whole block come from one
@@ -104,14 +167,12 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     and a NaN total, which no sum is above, picks n - 1 as searchsorted does.
     """
     n, a = z.shape
-    firsts, uniforms = _restart_draws(seed, n_init, n, k)
-    picks = np.empty((n_init, k), dtype=np.intp)
-    picks[:, 0] = firsts
     block = max(1, _SEED_BLOCK_CELLS // max(n * a, 1))
-    for lo in range(0, n_init, block):
-        p, u = picks[lo : lo + block], uniforms[lo : lo + block]
+    for lo in range(0, restarts.size, block):
+        ids = restarts[lo : lo + block]
+        p, u = picks[ids], uniforms[ids]
         d2, rngs = None, {}
-        for j in range(1, k):
+        for j in range(1, picks.shape[1]):
             rows = np.add.reduce((z - z[p[:, j - 1], None]) ** 2, axis=2)
             d2 = rows if d2 is None else np.minimum(d2, rows, out=d2)
             totals = np.add.reduce(d2, axis=1)
@@ -121,11 +182,56 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
             if not totals.all():  # a total is 0 or positive (or NaN)
                 for i in np.flatnonzero(totals == 0.0).tolist():
                     if i not in rngs:  # replay the stream up to this draw
-                        rngs[i] = rng = spawn_rng(seed, STREAM_RESTART, lo + i)
+                        rngs[i] = rng = spawn_rng(seed, STREAM_RESTART, int(ids[i]))
                         rng.integers(n)
                         rng.random(j - 1)
                     p[i, j] = rngs[i].integers(n)
-    return z[picks]
+        picks[ids] = p
+
+
+def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Write every restart's picks after the first into ``picks`` from the
+    bounds on its D^2 rows that _kmeanspp_init derives, and return the
+    (n_init,) mask of the restarts whose every pick is certified. The other
+    restarts' picks may be wrong.
+
+    Each pick of a block of S = _SEED_BLOCK_CELLS // n restarts, at least
+    one, forms (S, n) bound rows from one product of the block's picked rows
+    with z; the arithmetic of the bounds is silent.
+    """
+    n, a = z.shape
+    n_init, k = picks.shape
+    certified = np.zeros(n_init, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.add.reduce(z * z, axis=1)
+        if not (a and sq.max() <= _NORM_CAP / n):  # a NaN norm compares False
+            return certified
+        certified[:] = True
+        scale, tiny, widen = 8 * (a + 8) * _UNIT, a * _TINY, 4 * (n + 8) * _UNIT
+        u_lo, u_hi = uniforms * (1.0 - widen) ** 2, uniforms * (1.0 + widen) ** 2
+        zt, block = z.T, max(1, _SEED_BLOCK_CELLS // n)
+        for r0 in range(0, n_init, block):
+            p, ok = picks[r0 : r0 + block], certified[r0 : r0 + block]
+            for j in range(1, k):
+                prev = p[:, j - 1]
+                rows = z[prev] @ zt
+                rad = sq + sq[prev, None]
+                rows *= -2.0
+                rows += rad  # the Gram form of the D^2 rows
+                rad *= scale
+                rad += tiny
+                up = rows + rad
+                low = np.subtract(rows, rad, out=rows)
+                np.maximum(low, 0.0, out=low)
+                if j > 1:
+                    low, up = np.minimum(lows, low, out=lows), np.minimum(ups, up, out=ups)
+                lows, ups = low, up
+                cum_lo, cum_hi = np.add.accumulate(low, axis=1), np.add.accumulate(up, axis=1)
+                lim_lo = u_lo[r0 : r0 + block, j - 1] * cum_lo[:, -1]
+                lim_hi = u_hi[r0 : r0 + block, j - 1] * cum_hi[:, -1]
+                np.minimum(np.add.reduce(cum_lo <= lim_hi[:, None], axis=1), n - 1, out=p[:, j])
+                ok &= np.add.reduce(cum_hi <= lim_lo[:, None], axis=1) >= p[:, j]
+    return certified
 
 
 def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.ndarray:
