@@ -130,8 +130,8 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
       min(n_hi, n - 1) is certified when n_lo reaches it: the exact pick lies
       between the two.
 
-    A zero exact total is never certified, since every hi entry is at least
-    a·2^-1022, so n_lo = 0 while n_hi = n. Nothing is certified when a = 0,
+    A zero exact total is never certified: every hi entry is positive, so
+    n_lo = 0 while n_hi = n. Nothing is certified when a = 0,
     or when a squared row norm is above _NORM_CAP / n or not finite, so that
     every bound, sum and threshold is finite; the exact picks there make the
     RuntimeWarnings they make alone.
@@ -201,17 +201,17 @@ def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> 
     """
     n, a = z.shape
     n_init, k = picks.shape
-    certified = np.zeros(n_init, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.add.reduce(z * z, axis=1)
         if not (a and sq.max() <= _NORM_CAP / n):  # a NaN norm compares False
-            return certified
-        certified[:] = True
+            return np.zeros(n_init, dtype=bool)
+        certified = np.ones(n_init, dtype=bool)
         scale, tiny, widen = 8 * (a + 8) * _UNIT, a * _TINY, 4 * (n + 8) * _UNIT
         u_lo, u_hi = uniforms * (1.0 - widen) ** 2, uniforms * (1.0 + widen) ** 2
         zt, block = z.T, max(1, _SEED_BLOCK_CELLS // n)
         for r0 in range(0, n_init, block):
             p, ok = picks[r0 : r0 + block], certified[r0 : r0 + block]
+            lows = ups = None
             for j in range(1, k):
                 prev = p[:, j - 1]
                 rows = z[prev] @ zt
@@ -223,10 +223,9 @@ def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> 
                 up = rows + rad
                 low = np.subtract(rows, rad, out=rows)
                 np.maximum(low, 0.0, out=low)
-                if j > 1:
-                    low, up = np.minimum(lows, low, out=lows), np.minimum(ups, up, out=ups)
-                lows, ups = low, up
-                cum_lo, cum_hi = np.add.accumulate(low, axis=1), np.add.accumulate(up, axis=1)
+                lows = low if lows is None else np.minimum(lows, low, out=lows)
+                ups = up if ups is None else np.minimum(ups, up, out=ups)
+                cum_lo, cum_hi = np.add.accumulate(lows, axis=1), np.add.accumulate(ups, axis=1)
                 lim_lo = u_lo[r0 : r0 + block, j - 1] * cum_lo[:, -1]
                 lim_hi = u_hi[r0 : r0 + block, j - 1] * cum_hi[:, -1]
                 np.minimum(np.add.reduce(cum_lo <= lim_hi[:, None], axis=1), n - 1, out=p[:, j])

@@ -835,6 +835,139 @@ class TestMergeStop:
         assert part == parts[0]
 
 
+class TestCertifiedSeeding:
+    """Each kmeans++ pick is certified from bounds on its D^2 rows, or the
+    restart is seeded again from the exact sums: either way, the bits of the
+    reference's restarts one after another."""
+
+    @staticmethod
+    def _seed_counted(monkeypatch, z, k, seed, n_init):
+        """_kmeanspp_init on z, checked against the reference's bytes, and
+        the number of its restarts the certifier certified."""
+        certified = []
+
+        def counted(*args):
+            mask = real(*args)
+            certified.append(int(mask.sum()))
+            return mask
+
+        real = engine._certified_picks
+        monkeypatch.setattr(engine, "_certified_picks", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _kmeanspp_init(z, k, seed, n_init), _ref_seeding_stack(z, k, seed, n_init)
+        assert got.tobytes() == want.tobytes()
+        assert len(certified) == 1
+        return certified[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        a=st.integers(0, 40),
+        k=st.integers(2, 6),
+        n_init=st.integers(1, 12),
+        rows=st.sampled_from(["gaussian", "rounded", "duplicated", "equal"]),
+        offset=st.sampled_from([0.0, 1e5, 1e6, 1e8]),
+        scale=st.sampled_from([1.0, 1e-170, 1e150]),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=5, a=0, k=3, n_init=4, rows="gaussian", offset=0.0, scale=1.0, order="C", seed=0)
+    @example(n=300, a=40, k=6, n_init=12, rows="gaussian", offset=1e8, scale=1.0, order="F", seed=1)
+    @example(n=120, a=8, k=4, n_init=7, rows="rounded", offset=1e6, scale=1e-170, order="C", seed=2)
+    @example(n=200, a=30, k=5, n_init=10, rows="duplicated", offset=1e5, scale=1e150, order="F", seed=3)
+    def test_same_bits_as_reference(self, n, a, k, n_init, rows, offset, scale, order, seed):
+        """Over offsets where cancellation hides the gaps, scales whose
+        squares underflow or near the float64 limit, tied, duplicated and
+        equal rows, no columns, and C and Fortran order."""
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, a))
+        if rows == "rounded":
+            z = np.round(z)
+        elif rows == "duplicated":
+            z = z[rng.integers(max(1, n // 4), size=n)]
+        elif rows == "equal":
+            z = np.full((n, a), 2.5)
+        z = np.asarray((z + offset) * scale, order=order)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._seed_counted(monkeypatch, z, k, seed, n_init)
+
+    @pytest.mark.parametrize(
+        "z, k",
+        [
+            (np.random.default_rng(0).normal(size=(200, 30)), 4),
+            (np.random.default_rng(1).normal(size=(40, 3)) + 3e5, 3),
+            (np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0), 3),
+        ],
+    )
+    def test_forced_fallback_same_bits(self, monkeypatch, z, k):
+        """With a certifier that certifies nothing, every restart is seeded
+        from the exact sums alone."""
+        monkeypatch.setattr(engine, "_certified_picks", lambda z, picks, uniforms: np.zeros(len(picks), dtype=bool))
+        for seed in range(4):
+            assert _kmeanspp_init(z, k, seed, 11).tobytes() == _ref_seeding_stack(z, k, seed, 11).tobytes()
+
+    def test_partial_fallback_replays_each_restart_stream(self, monkeypatch):
+        """Only restarts 1, 4, 5 and 9 fall back, and each meets a zero total
+        at its third pick (two distinct rows, k = 3): the uniform draw that
+        follows replays the stream of its own restart index, not of its place
+        among the restarts that fell back."""
+        z = np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0)
+        seed, n_init = 7, 10
+        fall_back = np.isin(np.arange(n_init), [1, 4, 5, 9])
+
+        def some(z, picks, uniforms):
+            real(z, picks, uniforms, seed, np.flatnonzero(~fall_back))
+            return ~fall_back
+
+        redone, real = [], engine._exact_picks
+        monkeypatch.setattr(engine, "_certified_picks", some)
+        monkeypatch.setattr(engine, "_exact_picks", lambda *args: redone.append(args[-1].tolist()) or real(*args))
+        got = _kmeanspp_init(z, 3, seed, n_init)
+        assert redone == [[1, 4, 5, 9]]
+        assert got.tobytes() == _ref_seeding_stack(z, 3, seed, n_init).tobytes()
+
+    def test_every_restart_certified_at_benchmark_shapes(self, monkeypatch):
+        """200 curves of 200 points at k = 2, under uniform and level-set
+        weights, and 60 vectors of 50 features at k = 3."""
+        for s in range(3):
+            fd, _ = gen_fd(FdScenario(seed=s))
+            for m in (None, 0.1, 0.5, 0.9):
+                w = uniform_weights(fd) if m is None else sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=s)).weights
+                z = _transformed_matrix(fd, getattr(w, "w", w))
+                assert self._seed_counted(monkeypatch, z, 2, s, 10) == 10
+            d, _ = gen_mv(MvScenario(p=50, seed=s))
+            z = _transformed_matrix(d, uniform_weights(d))
+            assert self._seed_counted(monkeypatch, z, 3, s, 10) == 10
+
+    def test_restarts_fall_back_on_a_shifted_table(self, monkeypatch):
+        """Features shifted by 3e5 hide the D^2 gaps under the cancellation
+        of the Gram form: restarts fall back and still pick as the reference."""
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        z = _transformed_matrix(Dataset(d.values + 3e5), uniform_weights(d))
+        assert self._seed_counted(monkeypatch, z, 3, 0, 10) < 10
+
+    @staticmethod
+    def _benchmark_shapes():
+        fd, _ = gen_fd(FdScenario(seed=0))
+        for m in (0.1, 0.5, 0.9):
+            z = _transformed_matrix(fd, sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=0)).weights.w)
+            assert z.flags.f_contiguous and not z.flags.c_contiguous
+            yield pytest.param(z, 2, id=f"curves-200x{z.shape[1]}-F")
+        yield pytest.param(np.random.default_rng(5).normal(size=(1002, 500)), 3, id="1002x500")
+        wide, _ = gen_mv(MvScenario(p=2000, seed=0))
+        factor = _row_factor(_transformed_matrix(wide, uniform_weights(wide)))
+        assert factor.shape == (60, 60)
+        yield pytest.param(factor, 3, id="factor-60x60")
+
+    def test_seeding_same_bits_at_benchmark_shapes(self):
+        """The shapes the workloads seed, which lloyd_cases does not reach."""
+        for param in self._benchmark_shapes():
+            z, k = param.values
+            for seed in range(3):
+                assert _kmeanspp_init(z, k, seed, 10).tobytes() == _ref_seeding_stack(z, k, seed, 10).tobytes()
+
+
 class TestCanonicalLabels:
     @staticmethod
     def _unique_form(labels0):
