@@ -138,9 +138,11 @@ def cmd_tune(args) -> int:
         if args.truth_col is not None:
             raise ValidationError("--truth-col names a column of a feature matrix; a curves CSV has none")
         data = dataio.read_fd_csv(args.input)
-        tune, extra = tune_m_fd, {"n_subdomains": args.n_subdomains}
+        tune, extra = tune_m_fd, {} if args.n_subdomains is None else {"n_subdomains": args.n_subdomains}
         default_grid = [data.domain_measure * i / 10.0 for i in range(1, 10)]
     else:
+        if args.n_subdomains is not None:
+            raise ValidationError("--n-subdomains blocks the domain of curves; a feature matrix has none")
         data, _ = dataio.read_mv_csv(args.input, args.truth_col)  # the labels are only dropped
         tune, extra = tune_m_mv, {}
         default_grid = sorted({int(round(v)) for v in np.linspace(0, data.n_features - 1, 10)})
@@ -181,18 +183,22 @@ def _write_benchmark_outputs(out: Path, records, summaries, sd_zero: bool) -> No
 def cmd_simulate(args) -> int:
     if args.which == "gaussian":
         runs = args.runs if args.runs is not None else 20
-        m_used = default_gaussian_m(args.p) if args.m is None else whole_m(args.m)
+        p = 50 if args.p is None else args.p
+        m_used = default_gaussian_m(p) if args.m is None else whole_m(args.m)
         s_used = GAUSSIAN_DEFAULT_S if args.s is None else float(args.s)
         records, summaries, details = run_gaussian_benchmark(
-            args.p,
+            p,
             runs=runs,
             seed=args.seed,
             m=m_used,
             s=s_used,
             keep_details=args.dump_data,
         )
-        meta = {"p": args.p, "m": m_used, "s": s_used}
+        meta = {"p": p, "m": m_used, "s": s_used}
     else:
+        for name in ("p", "s"):  # summary.json records only what the run used
+            if getattr(args, name) is not None:
+                raise ValidationError(f"simulate curves takes no --{name}")
         runs = args.runs if args.runs is not None else 10
         m_used = CURVE_DEFAULT_M if args.m is None else float(args.m)
         records, summaries, details = run_curve_benchmark(
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--k", type=int, required=True)
     tune.add_argument("--m-grid", default=None, help="comma-separated candidate levels")
     tune.add_argument("--b-perms", type=int, default=20)
-    tune.add_argument("--n-subdomains", type=int, default=20)
+    tune.add_argument("--n-subdomains", type=int, default=None, help="curve reference blocks (--functional only)")
     tune.add_argument("--one-sd-rule", action="store_true",
                       help="take the largest m whose gap is within one sd of the best")
     tune.add_argument("--out", default=".")
@@ -274,11 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = subs.add_parser("simulate", help="run a seeded benchmark reproduction")
     simulate.add_argument("which", choices=["gaussian", "curves"])
-    simulate.add_argument("--p", type=int, default=50, help="dimension, >= 10 for the 10 informative features (gaussian only)")
+    simulate.add_argument("--p", type=int, default=None, help="dimension >= 10, default 50 (gaussian only)")
     simulate.add_argument("--runs", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--m", type=float, default=None, help="override the sparsity level")
-    simulate.add_argument("--s", type=float, default=None, help="override the soft L1 budget")
+    simulate.add_argument("--s", type=float, default=None, help="override the soft L1 budget (gaussian only)")
     simulate.add_argument("--dump-data", action="store_true", help="write per-run datasets")
     simulate.add_argument("--sd-zero", action="store_true", help="report sd 0 instead of NA for single runs")
     simulate.add_argument("--out", default=".")

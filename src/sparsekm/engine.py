@@ -59,7 +59,7 @@ class KMeansConfig:
         whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
-_SEED_BLOCK_CELLS = 1 << 16  # cells of the (B, n, a) array an exact kmeans++ step forms for B restarts at once
+_SEED_BLOCK_CELLS = 1 << 16  # cells of the (S, n) bound rows _certified_picks forms for S restarts at once
 _UNIT = 2.0**-53  # the unit roundoff u of float64
 _TINY = 2.0**-1022  # the smallest normal float64
 _NORM_CAP = np.finfo(np.float64).max / 8  # n times the largest squared row norm the bounds take
@@ -147,46 +147,31 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
 
 def _exact_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray, seed: int, restarts: np.ndarray) -> None:
     """Write the picks after the first of the given restarts into ``picks``,
-    from their exact D^2 rows.
+    from their exact D^2 rows, one restart at a time: each pick has the bits
+    of its restart seeded alone from its own stream, one draw after another.
 
-    A D^2 row is computed only for the picks whose distances a later draw
-    reads, so never for the last one. Where the D^2 total of restart r is
-    not positive, every D^2 entry is 0 and stays 0, so this and every later
-    pick of the restart is a uniform integers(n): its stream
-    spawn_rng(seed, STREAM_RESTART, r) is replayed up to the first of them
-    and draws the rest.
-
-    The restarts are seeded in blocks of B = _SEED_BLOCK_CELLS // (n·a), at
-    least one, so that one pick's D^2 rows of a whole block come from one
-    (B, n, a) array of at most _SEED_BLOCK_CELLS cells, or of one restart's
-    n·a. Each (n, a) slice of it has the layout of z, so every row is
-    reduced, summed and accumulated in the order, and with the bits, of its
-    restart seeded alone. A pick is the first index whose cumulative D^2
-    sum is above u·total, or n - 1 when none of the first n - 1 is: the
-    sums never fall, so this is searchsorted(side="right") capped at n - 1,
-    and a NaN total, which no sum is above, picks n - 1 as searchsorted does.
+    Each pick of restart r forms the D^2 row of the pick before it and keeps
+    the running minimum; a pick is the first index whose cumulative D^2 sum
+    is above u·total, searchsorted(side="right") capped at n - 1, so a NaN
+    total, which no sum is above, picks n - 1. Where the total is 0, every
+    D^2 entry is 0 and stays 0, so this and every later pick is a uniform
+    integers(n): the stream spawn_rng(seed, STREAM_RESTART, r) is replayed up
+    to the first of them and draws the rest.
     """
-    n, a = z.shape
-    block = max(1, _SEED_BLOCK_CELLS // max(n * a, 1))
-    for lo in range(0, restarts.size, block):
-        ids = restarts[lo : lo + block]
-        p, u = picks[ids], uniforms[ids]
-        d2, rngs = None, {}
+    n = z.shape[0]
+    for r in restarts.tolist():
+        p, d2 = picks[r], None
         for j in range(1, picks.shape[1]):
-            rows = np.add.reduce((z - z[p[:, j - 1], None]) ** 2, axis=2)
-            d2 = rows if d2 is None else np.minimum(d2, rows, out=d2)
-            totals = np.add.reduce(d2, axis=1)
-            above = np.add.accumulate(d2, axis=1) > (u[:, j - 1] * totals)[:, None]
-            above[:, -1] = True
-            above.argmax(axis=1, out=p[:, j])
-            if not totals.all():  # a total is 0 or positive (or NaN)
-                for i in np.flatnonzero(totals == 0.0).tolist():
-                    if i not in rngs:  # replay the stream up to this draw
-                        rngs[i] = rng = spawn_rng(seed, STREAM_RESTART, int(ids[i]))
-                        rng.integers(n)
-                        rng.random(j - 1)
-                    p[i, j] = rngs[i].integers(n)
-        picks[ids] = p
+            row = np.add.reduce((z - z[p[j - 1]]) ** 2, axis=1)
+            d2 = row if d2 is None else np.minimum(d2, row, out=d2)
+            total = np.add.reduce(d2)
+            if total == 0.0:
+                rng = spawn_rng(seed, STREAM_RESTART, r)
+                rng.integers(n)
+                rng.random(j - 1)
+                p[j:] = [rng.integers(n) for _ in range(j, len(p))]
+                break
+            p[j] = min(np.searchsorted(np.add.accumulate(d2), uniforms[r, j - 1] * total, side="right"), n - 1)
 
 
 def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -437,6 +437,25 @@ class TestTune:
         assert "--truth-col" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vector_n_subdomains_exits_2_before_reading_input(self, mv_csv, tmp_path, capsys, monkeypatch):
+        """--n-subdomains blocks the curve reference; a vector tune never uses it."""
+        monkeypatch.setattr(cli.dataio, "read_mv_csv", _no_fit)
+        monkeypatch.setattr(cli, "tune_m_mv", _no_fit)
+        out = tmp_path / "o"
+        code = run_cli("tune", "--input", mv_csv, "--k", "3", "--n-subdomains", "5", "--out", out)
+        assert code == 2
+        assert "--n-subdomains" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_functional_n_subdomains_defaults_to_tune_m_fd(self, fd_csv, tmp_path):
+        """An omitted --n-subdomains is tune_m_fd's own default of 20 blocks."""
+        curves, _ = fd_csv
+        args = ("tune", "--input", curves, "--functional", "--k", "2", "--m-grid", "0.3,0.5",
+                "--b-perms", "2", "--n-init", "2")
+        assert run_cli(*args, "--out", tmp_path / "a") == 0
+        assert run_cli(*args, "--n-subdomains", "20", "--out", tmp_path / "b") == 0
+        assert (tmp_path / "a/gap_curve.csv").read_bytes() == (tmp_path / "b/gap_curve.csv").read_bytes()
+
 
 class TestSimulate:
     def test_gaussian_small(self, tmp_path):
@@ -484,6 +503,20 @@ class TestSimulate:
         out = tmp_path / "new"
         assert run_cli("simulate", "gaussian", "--runs", "0", "--out", out) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("given", [("--p", "7"), ("--s", "2"), ("--p", "50", "--s", "2")])
+    def test_curves_gaussian_option_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, given):
+        """summary.json records the options a run used, so simulate curves refuses --p and --s."""
+        monkeypatch.setattr(cli, "run_curve_benchmark", _no_fit)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "curves", "--runs", "1", *given, "--out", out) == 2
+        assert f"simulate curves takes no {given[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gaussian_p_defaults_to_50(self, tmp_path):
+        assert run_cli("simulate", "gaussian", "--runs", "1", "--out", tmp_path / "o") == 0
+        summary = json.loads((tmp_path / "o/summary.json").read_text())
+        assert summary["p"] == 50 and summary["m"] == 25
 
     def test_gaussian_p_below_informative_features_exits_2(self, tmp_path, capsys):
         code = run_cli(

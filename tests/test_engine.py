@@ -662,6 +662,23 @@ def _assert_as_reference(z, cfg, warm, means):
     return np.float64(got[1]).tobytes(), np.float64(want[1]).tobytes()
 
 
+DEGENERATE_TOTALS = [
+    np.zeros((6, 2)),
+    np.full((9, 3), 2.5),
+    # squared differences of 1e-170 underflow to 0: a zero D^2 total
+    # over rows that are not equal
+    np.array([[0.0], [1e-170], [2e-170], [3e-170], [-1e-170]]),
+    np.r_[np.zeros((4, 2)), 1e-170 * np.ones((3, 2))],
+    # fewer distinct rows than k, each repeated: the total falls to 0
+    # once every distinct row is picked
+    np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0),
+    np.repeat([[1.0], [4.0], [9.0]], [1, 6, 2], axis=0),
+    # a NaN or an overflowing total is not a zero total
+    np.r_[np.zeros((3, 2)), [[np.nan, 0.0]], np.ones((2, 2))],
+    np.array([[0.0], [1e300], [-1e300], [1.0], [2.0]]),
+]
+
+
 class TestMergeStop:
     """The restart pool runs every start in one lockstep stack to its own
     fixed point or cap, and ends as the reference loops that run each start
@@ -704,24 +721,7 @@ class TestMergeStop:
             assert got.tobytes() == _ref_seeding_stack(z, k, cfg.seed, n_init).tobytes()
             assert got.flags.writeable and not np.shares_memory(got, z)
 
-    @pytest.mark.parametrize(
-        "z",
-        [
-            np.zeros((6, 2)),
-            np.full((9, 3), 2.5),
-            # squared differences of 1e-170 underflow to 0: a zero D^2 total
-            # over rows that are not equal
-            np.array([[0.0], [1e-170], [2e-170], [3e-170], [-1e-170]]),
-            np.r_[np.zeros((4, 2)), 1e-170 * np.ones((3, 2))],
-            # fewer distinct rows than k, each repeated: the total falls to 0
-            # once every distinct row is picked
-            np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0),
-            np.repeat([[1.0], [4.0], [9.0]], [1, 6, 2], axis=0),
-            # a NaN or an overflowing total is not a zero total
-            np.r_[np.zeros((3, 2)), [[np.nan, 0.0]], np.ones((2, 2))],
-            np.array([[0.0], [1e300], [-1e300], [1.0], [2.0]]),
-        ],
-    )
+    @pytest.mark.parametrize("z", DEGENERATE_TOTALS)
     def test_seeding_degenerate_totals_same_bits_as_reference(self, z):
         """Where the D^2 total is 0 the pick is a uniform draw: the stream is
         replayed up to it, and its later draws are as the reference's."""
@@ -743,15 +743,15 @@ class TestMergeStop:
         seed=st.integers(0, 2**32),
     )
     @example(n=256, per_block=1, edge=0, n_init=12, k=6, rows="rounded", order="C", seed=1)  # n·a = 2**16
-    # blocks of 4, 4 and 2 restarts
-    @example(n=64, per_block=4, edge=0, n_init=10, k=4, rows="duplicated", order="F", seed=2)
+    @example(n=64, per_block=4, edge=0, n_init=10, k=4, rows="duplicated", order="F", seed=2)  # n·a = 2**14
     def test_seeding_blocks_same_bits_as_reference(self, n, per_block, edge, n_init, k, rows, order, seed):
-        """Restarts seeded in blocks of 2**16 // (n·a) pick as the reference's
-        one after another: n·a below, at and above 2**16, with restart counts
-        the block size divides and does not divide, over tied, duplicated,
-        equal and underflowing rows, in C and in Fortran order (the transformed
-        matrices of the fits are often Fortran-ordered, and the order of a
-        row's sum follows the layout)."""
+        """Seeding picks as the reference's restarts one after another at n·a
+        of about 2**16 // per_block cells, below, at and above 2**16, over
+        tied, duplicated, equal and underflowing rows, in C and in Fortran
+        order (the transformed matrices of the fits are often
+        Fortran-ordered, and the order of a row's sum follows the layout).
+        The exact seeder has no blocks: it seeds the restarts the certified
+        picks leave, one at a time."""
         k = min(k, n)
         a = max(1, (2**16 // per_block) // n + edge)
         rng = np.random.default_rng(seed)
@@ -768,10 +768,13 @@ class TestMergeStop:
         got = _kmeanspp_init(z, k, seed, n_init)
         assert got.tobytes() == _ref_seeding_stack(z, k, seed, n_init).tobytes()
 
-    def test_seeding_peak_memory(self):
-        """A block never holds more than one restart's n·a cells when n·a
-        exceeds 2**16: one call at n = 10**5, a = 20 traces within 20 MB,
-        about one (n, a) array of differences besides the (n,) D^2 rows."""
+    @pytest.mark.parametrize("certifier", ["real", "none"])
+    def test_seeding_peak_memory(self, monkeypatch, certifier):
+        """One call at n = 10**5, a = 20 traces within 20 MB, about one
+        (n, a) array of differences besides the (n,) D^2 rows, whether the
+        picks are certified or every restart is seeded from the exact sums."""
+        if certifier == "none":
+            monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
         n, a, k, n_init = 100_000, 20, 5, 10
         z = np.random.default_rng(6).normal(size=(n, a))
         tracemalloc.start()
@@ -833,6 +836,26 @@ class TestMergeStop:
         assert part == parts[1] and part != parts[3] and best == 2.0
         part, _, parts = self._patched_pool(monkeypatch, [1.0, 1.0, 1.0])
         assert part == parts[0]
+
+
+def _certify_nothing(z, picks, uniforms):
+    """A _certified_picks that certifies no restart."""
+    return np.zeros(len(picks), dtype=bool)
+
+
+def _benchmark_shapes():
+    """The matrices the workloads seed: 200 curves under level-set weights
+    (Fortran-ordered), 1002 x 500 and the 60 x 60 row factor of p = 2000."""
+    fd, _ = gen_fd(FdScenario(seed=0))
+    for m in (0.1, 0.5, 0.9):
+        z = _transformed_matrix(fd, sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=0)).weights.w)
+        assert z.flags.f_contiguous and not z.flags.c_contiguous
+        yield pytest.param(z, 2, id=f"curves-200x{z.shape[1]}-F")
+    yield pytest.param(np.random.default_rng(5).normal(size=(1002, 500)), 3, id="1002x500")
+    wide, _ = gen_mv(MvScenario(p=2000, seed=0))
+    factor = _row_factor(_transformed_matrix(wide, uniform_weights(wide)))
+    assert factor.shape == (60, 60)
+    yield pytest.param(factor, 3, id="factor-60x60")
 
 
 class TestCertifiedSeeding:
@@ -898,14 +921,20 @@ class TestCertifiedSeeding:
             (np.random.default_rng(0).normal(size=(200, 30)), 4),
             (np.random.default_rng(1).normal(size=(40, 3)) + 3e5, 3),
             (np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0), 3),
+            *_benchmark_shapes(),
+            *[(z, k) for z in DEGENERATE_TOTALS for k in range(2, min(z.shape[0], 5) + 1)],
         ],
     )
     def test_forced_fallback_same_bits(self, monkeypatch, z, k):
         """With a certifier that certifies nothing, every restart is seeded
-        from the exact sums alone."""
-        monkeypatch.setattr(engine, "_certified_picks", lambda z, picks, uniforms: np.zeros(len(picks), dtype=bool))
+        from the exact sums alone: at the shapes the workloads seed, where
+        the certified picks normally serve, and where the D^2 total is 0,
+        NaN or infinite."""
+        monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
         for seed in range(4):
-            assert _kmeanspp_init(z, k, seed, 11).tobytes() == _ref_seeding_stack(z, k, seed, 11).tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _kmeanspp_init(z, k, seed, 11), _ref_seeding_stack(z, k, seed, 11)
+            assert got.tobytes() == want.tobytes()
 
     def test_partial_fallback_replays_each_restart_stream(self, monkeypatch):
         """Only restarts 1, 4, 5 and 9 fall back, and each meets a zero total
@@ -947,22 +976,9 @@ class TestCertifiedSeeding:
         z = _transformed_matrix(Dataset(d.values + 3e5), uniform_weights(d))
         assert self._seed_counted(monkeypatch, z, 3, 0, 10) < 10
 
-    @staticmethod
-    def _benchmark_shapes():
-        fd, _ = gen_fd(FdScenario(seed=0))
-        for m in (0.1, 0.5, 0.9):
-            z = _transformed_matrix(fd, sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=0)).weights.w)
-            assert z.flags.f_contiguous and not z.flags.c_contiguous
-            yield pytest.param(z, 2, id=f"curves-200x{z.shape[1]}-F")
-        yield pytest.param(np.random.default_rng(5).normal(size=(1002, 500)), 3, id="1002x500")
-        wide, _ = gen_mv(MvScenario(p=2000, seed=0))
-        factor = _row_factor(_transformed_matrix(wide, uniform_weights(wide)))
-        assert factor.shape == (60, 60)
-        yield pytest.param(factor, 3, id="factor-60x60")
-
     def test_seeding_same_bits_at_benchmark_shapes(self):
         """The shapes the workloads seed, which lloyd_cases does not reach."""
-        for param in self._benchmark_shapes():
+        for param in _benchmark_shapes():
             z, k = param.values
             for seed in range(3):
                 assert _kmeanspp_init(z, k, seed, 10).tobytes() == _ref_seeding_stack(z, k, seed, 10).tobytes()
