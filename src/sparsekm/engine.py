@@ -278,7 +278,7 @@ def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
         del d2
         sizes = np.bincount((new + offsets[: live.size]).ravel(), minlength=width).reshape(-1, k)
         if not sizes.all():
-            if (n_distinct := np.unique(z, axis=0).shape[0]) < k:
+            if (n_distinct := _n_distinct(z)) < k:
                 raise TooFewDistinctRows(f"{n_distinct} distinct rows for k={k} clusters")
             for s in np.flatnonzero(~sizes.all(axis=1)):
                 lab, size, near = new[s], sizes[s], closest[s]
@@ -323,6 +323,12 @@ def _transformed_matrix(d, w: np.ndarray) -> np.ndarray:
     return d.values[:, active] * np.sqrt(scale[active])[None, :]
 
 
+def _n_distinct(z: np.ndarray) -> int:
+    """The number of distinct rows of z, counting -0.0 as 0.0: the size of
+    the set of the rows' bytes, the one count _row_factor and _lloyd use."""
+    return len({row.tobytes() for row in z + 0.0})
+
+
 def _row_factor(z: np.ndarray) -> np.ndarray:
     """An n-column matrix with the row inner products of z, or z itself.
 
@@ -331,15 +337,15 @@ def _row_factor(z: np.ndarray) -> np.ndarray:
     with Q = zᵀL⁻ᵀ orthonormal on the row space of z, so every row-to-row
     and row-to-mean distance keeps its exact value, and a Lloyd step costs
     n² in place of n·a. z itself is returned when it has no more columns
-    than rows, when two rows are equal (counting -0.0 as 0.0, as np.unique
-    does), since the factor would make them only nearly equal, or when z zᵀ
-    is singular or not finite.
+    than rows, when two rows are equal (by _n_distinct), since the factor
+    would make them only nearly equal, or when z zᵀ is singular or not
+    finite.
     """
     n, a = z.shape
     if a <= n:
         return z
     # distinct first entries settle it; only a tie there needs whole rows
-    if np.unique(z[:, 0]).size < n and len({row.tobytes() for row in z + 0.0}) < n:
+    if np.unique(z[:, 0]).size < n and _n_distinct(z) < n:
         return z
     gram = z @ z.T
     if not np.isfinite(gram).all():
@@ -393,7 +399,7 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     if wcss[best] == np.inf:
         raise NonFiniteDistances(
             "squared distances are not finite: no restart has a finite within-cluster "
-            "sum of squares (the data's scale overflows float64)"
+            "sum of squares (the weighted data overflow float64)"
         )
     return Partition(_canonical_labels(labels[best]), cfg.k), float(wcss[best])
 

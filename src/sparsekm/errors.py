@@ -63,15 +63,11 @@ class KTooLarge(ValidationError):
 
 
 class NonPositiveDispersion(NumericalError):
-    """No positive dispersion entry remains; weights are undefined."""
-
-
-class AllZeroAfterThreshold(NumericalError):
-    """Soft thresholding zeroed every coordinate before normalization."""
+    """No dispersion score is positive, so every weight solver's weights are undefined."""
 
 
 class DegenerateDispersion(NumericalError):
-    """Thresholding left an empty or zero-mass support."""
+    """The plateau at the dispersion's maximum is wider than level-set thresholding may keep."""
 
 
 class DegenerateObjective(NumericalError):
@@ -87,7 +83,7 @@ class NonMonotoneObjective(NumericalError):
 
 
 class NonFiniteDistances(NumericalError):
-    """Squares of the data overflowed float64: no restart has a finite
+    """Squares of the weighted data overflowed float64: no restart has a finite
     within-cluster sum of squares, or a between-cluster dispersion score is
     not finite (names the first such feature)."""
 

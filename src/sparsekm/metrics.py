@@ -11,35 +11,33 @@ from .errors import LengthMismatch
 
 
 def _contingency(p1: Partition, p2: Partition) -> np.ndarray:
-    table = np.zeros((p1.k, p2.k), dtype=np.int64)
-    np.add.at(table, (p1.labels - 1, p2.labels - 1), 1)
-    return table
+    """The (k1, k2) table whose entry (i, j) counts the observations in
+    cluster i + 1 of p1 and j + 1 of p2, from one bincount. It is the one
+    check that both partitions label the same observations: LengthMismatch
+    otherwise."""
+    if p1.n_obs != p2.n_obs:
+        raise LengthMismatch(f"partitions label {p1.n_obs} and {p2.n_obs} observations")
+    cells = (p1.labels - 1) * p2.k + (p2.labels - 1)
+    return np.bincount(cells, minlength=p1.k * p2.k).reshape(p1.k, p2.k)
 
 
 def cer(p1: Partition, p2: Partition) -> float:
     """Clustering error rate: the fraction of observation pairs on which
     two partitions disagree about co-membership (one minus the Rand index).
 
-    Computed from the contingency table in O(N + K1*K2) rather than over
-    all pairs. 0 means identical up to relabeling; symmetric in its
-    arguments.
+    Computed from the contingency table, whose margins are the two
+    partitions' cluster sizes, in O(N + K1*K2) rather than over all pairs.
+    0 means identical up to relabeling; symmetric in its arguments.
     """
-    if p1.n_obs != p2.n_obs:
-        raise LengthMismatch(
-            f"partitions label {p1.n_obs} and {p2.n_obs} observations"
-        )
+    table = _contingency(p1, p2)
     n = p1.n_obs
     if n < 2:
         return 0.0
-    table = _contingency(p1, p2)
 
     def pairs(counts):
         return int(np.sum(counts * (counts - 1) // 2))
 
-    together_both = pairs(table)
-    together_1 = pairs(p1.sizes().astype(np.int64))
-    together_2 = pairs(p2.sizes().astype(np.int64))
-    disagreements = together_1 + together_2 - 2 * together_both
+    disagreements = pairs(table.sum(axis=1)) + pairs(table.sum(axis=0)) - 2 * pairs(table)
     return disagreements / (n * (n - 1) // 2)
 
 
@@ -66,28 +64,15 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def column_order(self) -> list[int]:
-        """Greedy matching: repeatedly take the largest remaining entry and
-        pin its column to its row; leftover columns keep index order."""
-        counts = self.counts
-        n_true, n_est = counts.shape
-        assigned = {}
-        used_rows, used_cols = set(), set()
-        flat = [
-            (-counts[i, j], i, j)
-            for i in range(n_true)
-            for j in range(n_est)
-        ]
-        for neg, i, j in sorted(flat):
-            if i in used_rows or j in used_cols:
-                continue
-            assigned[i] = j
-            used_rows.add(i)
-            used_cols.add(j)
-            if len(used_rows) == min(n_true, n_est):
-                break
-        order = [assigned[i] for i in sorted(assigned)]
-        order += [j for j in range(n_est) if j not in used_cols]
-        return order
+        """Greedy matching: repeatedly take the largest entry among the
+        unpinned rows and columns, the first in row-major order on a tie,
+        and pin its column to its row; leftover columns keep index order."""
+        rows, cols = list(range(self.counts.shape[0])), list(range(self.counts.shape[1]))
+        pinned = np.full(len(rows), -1)
+        while rows and cols:
+            i, j = divmod(int(np.argmax(self.counts[np.ix_(rows, cols)])), len(cols))
+            pinned[rows.pop(i)] = cols.pop(j)
+        return pinned[pinned >= 0].tolist() + cols
 
     def aligned(self) -> np.ndarray:
         return np.array(self.counts[:, self.column_order()])
@@ -95,16 +80,11 @@ class ConfusionMatrix:
     def off_diagonal(self) -> int:
         """Misclassified count under the greedy alignment."""
         aligned = self.aligned()
-        diag = sum(aligned[i, i] for i in range(min(aligned.shape)))
-        return int(aligned.sum()) - int(diag)
+        return int(aligned.sum()) - int(np.trace(aligned))
 
 
 def confusion(p_true: Partition, p_est: Partition) -> ConfusionMatrix:
     """Confusion matrix between a reference and an estimated partition."""
-    if p_true.n_obs != p_est.n_obs:
-        raise LengthMismatch(
-            f"partitions label {p_true.n_obs} and {p_est.n_obs} observations"
-        )
     return ConfusionMatrix(_contingency(p_true, p_est))
 
 

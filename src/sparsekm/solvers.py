@@ -13,20 +13,18 @@ import numpy as np
 
 from .datatypes import Weights, count_m, l1_budget, measure_m
 from .dispersion import Dispersion
-from .errors import (
-    AllZeroAfterThreshold,
-    DegenerateDispersion,
-    GridMismatch,
-    NonPositiveDispersion,
-    TiedMaximaFloor,
-)
+from .errors import DegenerateDispersion, GridMismatch, NonPositiveDispersion, TiedMaximaFloor
 
 
 def _unit(b: np.ndarray) -> np.ndarray:
-    """b over its maximum, which must be positive. The weights are
-    scale-invariant in b, and on this scale their squared sums stay away
-    from under/overflow for extreme dispersion scales."""
-    return b / float(np.max(b))
+    """b over its maximum. The weights are scale-invariant in b, and on
+    this scale their squared sums stay away from under/overflow for extreme
+    dispersion scales. Every solver calls it, and it is their one check
+    that some score is positive: NonPositiveDispersion otherwise."""
+    top = float(np.max(b))
+    if top <= 0.0:
+        raise NonPositiveDispersion("no positive dispersion entry to retain")
+    return b / top
 
 
 def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
@@ -43,8 +41,6 @@ def hard_threshold_weights(disp: Dispersion, m: int) -> Weights:
     b_arr = disp.b
     p = b_arr.size
     m_int = count_m(m, p)
-    if not np.any(b_arr > 0.0):
-        raise NonPositiveDispersion("no positive dispersion entry to retain")
     u = _unit(b_arr)
     target = p - m_int
     keep = min(target, int(np.count_nonzero(u > 0.0)))
@@ -71,8 +67,6 @@ def soft_threshold_weights(disp: Dispersion, s: float) -> Weights:
     a = disp.b
     p = a.size
     s = l1_budget(s, p)
-    if not np.any(a > 0.0):
-        raise AllZeroAfterThreshold("every score is zero")
     a = _unit(a)
     norm = float(np.sqrt(np.sum(a * a)))
     if float(np.sum(a)) / norm <= s:  # maximum makes a -0.0 score a +0.0 weight
@@ -144,13 +138,13 @@ def functional_threshold_weights(disp: Dispersion, m: float) -> Weights:
     """
     b_arr, qw = disp.b, disp.quad_weights
     k = functional_threshold_level(disp, m)
+    u = _unit(b_arr)
     mask = b_arr > k
-    if not np.any(mask):
+    if not np.any(mask):  # the level is the maximum
         raise DegenerateDispersion(
-            f"no dispersion above the threshold level {k}"
+            f"the plateau at the maximal dispersion {k} has more measure than mu(D) - m = {float(np.sum(qw)) - m}"
         )
     # the maximum lies above the level, so the retained mass is positive
-    u = _unit(b_arr)
     w = np.where(mask, u, 0.0) / np.sqrt(float(np.sum(qw[mask] * u[mask] ** 2)))
     return Weights(w, m=float(m), grid=disp.grid)
 

@@ -9,8 +9,6 @@ transform, so a scenario's seed fully determines the dataset.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +22,8 @@ from .rngutil import STREAM_DATASET, spawn_rng, standard_normal
 A_MEAN, A_SD = 3.0, 0.5
 B_MEAN, B_SD = 2.0, 0.25
 C_SD, C_SHIFT = 0.5, 0.5
+# The Gaussian design's noise level: every feature has standard deviation SIGMA.
+SIGMA = 0.2
 
 
 @dataclass(frozen=True)
@@ -31,30 +31,26 @@ class MvScenario:
     """Three balanced Gaussian classes in p dimensions, q informative.
 
     Feature j has baseline mean j/p (1-based j). On the first q features,
-    class 2 is shifted up and class 3 down by 1.5 sigma; all remaining
+    class 2 is shifted up and class 3 down by 1.5 SIGMA; all remaining
     features are pure noise shared across classes.
     """
 
     p: int
     q: int = 10
     n_per_class: int = 20
-    sigma: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         whole_fields(self, p=1, q=1, n_per_class=1, seed=None)
         if self.q > self.p:
             raise ValidationError(f"q={self.q} outside [1, {self.p}]")
-        if not (isinstance(self.sigma, numbers.Real) and math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def mv_mean_matrix(s: MvScenario) -> np.ndarray:
     """Class-by-feature mean matrix (3, p) for the Gaussian design."""
     base = (np.arange(1, s.p + 1, dtype=np.float64)) / s.p
     mu = np.tile(base, (3, 1))
-    shift = 1.5 * s.sigma
+    shift = 1.5 * SIGMA
     mu[1, : s.q] += shift
     mu[2, : s.q] -= shift
     return mu
@@ -66,7 +62,7 @@ def gen_mv(s: MvScenario) -> tuple[Dataset, Partition]:
     mu = mv_mean_matrix(s)
     rng = spawn_rng(s.seed, STREAM_DATASET)
     noise = standard_normal(rng, (labels.size, s.p))
-    values = mu[labels - 1] + s.sigma * noise
+    values = mu[labels - 1] + SIGMA * noise
     return Dataset(values), Partition(labels, 3)
 
 

@@ -19,6 +19,7 @@ from sparsekm.engine import (
     _cluster_means,
     _kmeanspp_init,
     _lloyd,
+    _n_distinct,
     _restart_draws,
     _row_factor,
     _transformed_matrix,
@@ -34,6 +35,7 @@ from sparsekm.errors import (
     KTooLarge,
     NonFinite,
     NonFiniteDistances,
+    NonPositiveDispersion,
     NumericalError,
     PartitionMismatch,
     SOutOfRange,
@@ -44,6 +46,7 @@ from sparsekm.errors import (
 from sparsekm.experiments import run_gaussian_benchmark
 from sparsekm.metrics import cer
 from sparsekm.rngutil import STREAM_RESTART, spawn_rng
+from sparsekm.solvers import hard_threshold_weights
 from sparsekm.synthdata import FdScenario, MvScenario, gen_fd, gen_mv
 
 
@@ -287,6 +290,29 @@ class TestSparseKmeansMv:
         assert r1.partition == r2.partition
         assert np.array_equal(r1.weights.w, r2.weights.w)
         assert r1.objective_trace == r2.objective_trace
+
+
+class TestCycleStop:
+    def test_revisited_partition_ends_the_loop(self, monkeypatch):
+        """K-means that sends a partition to its relabelled copy and back: the
+        loop stops when a partition repeats and returns the revisited one,
+        with its own weights and objective."""
+        d, a = gen_mv(MvScenario(p=20, seed=0))
+        b = Partition(np.array([2, 1, 3])[a.labels - 1], 3)
+        warm = []
+
+        def swap(d_, w, cfg, init_partition=None):
+            warm.append(init_partition)
+            return b if init_partition == a else a
+
+        monkeypatch.setattr(engine, "weighted_kmeans", swap)
+        res = sparse_kmeans_mv(d, 3, 10, KMeansConfig(), start=a)
+        assert res.partition == a and res.converged and res.iterations == 3
+        assert warm == [a, b]
+        disp = bcss_per_feature(d, a)
+        ref = hard_threshold_weights(disp, 10)
+        assert res.weights.w.tobytes() == ref.w.tobytes()
+        assert res.objective_trace[-1] == weighted_objective(ref, disp)
 
 
 class TestSoftSparseKmeansMv:
@@ -1217,6 +1243,13 @@ class TestOverflow:
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteDistances, match="distances are not finite"):
             sparse_kmeans_mv(Dataset(d.values * 1e160), 3, 100, KMeansConfig())
 
+    def test_overflowing_weights_are_named(self):
+        """Finite data under weights of 1e308: the weighted data overflow,
+        and the message says so."""
+        d, _ = gen_mv(MvScenario(p=50, seed=0))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteDistances, match=r"\(the weighted data overflow float64\)"):
+            weighted_kmeans(d, np.full(50, 1e308), KMeansConfig(k=3))
+
     def test_dispersion_overflow_is_numerical(self):
         """At 1e153 (vectors) and 1e152 (curves) the squared distances stay
         finite, but the squared cluster sums of the dispersion overflow: a
@@ -1242,6 +1275,25 @@ class TestUnitScale:
         assert res.weights.m == 1 and res.weights.support_shrunk
         assert res.weights.w[1] == 0.0
         assert np.all(res.partition.sizes() >= 1)
+
+
+class TestNoPositiveDispersion:
+    """Times 1e-200 every dispersion score underflows to 0: every method
+    raises the one error with the one message, and no RuntimeWarning."""
+
+    @pytest.mark.parametrize("method", ["hard", "soft", "functional"])
+    def test_one_error_for_every_method(self, method):
+        if method == "functional":
+            fd, _ = gen_fd(FdScenario(seed=0))
+            fit = lambda: sparse_kmeans_fd(Dataset(fd.values * 1e-200, grid=fd.grid), 2, 0.5)
+        else:
+            d, _ = gen_mv(MvScenario(p=50, seed=0))
+            tiny = Dataset(d.values * 1e-200)
+            fit = lambda: sparse_kmeans_mv(tiny, 3, 40) if method == "hard" else soft_sparse_kmeans_mv(tiny, 3, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonPositiveDispersion, match="^no positive dispersion entry to retain$"):
+                fit()
 
 
 class TestKindOfData:
@@ -1316,6 +1368,14 @@ class TestDuplicateRows:
         k = len(reps) + 1
         with pytest.raises(TooFewDistinctRows, match=f"{len(reps)} distinct rows for k={k}"):
             weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=k, n_init=3, seed=seed))
+
+
+    def test_n_distinct_counts_a_signed_zero_as_zero(self):
+        """The one distinct-row count of _row_factor and _lloyd, in either
+        memory order; rows of no columns are all equal."""
+        z = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [0.0, -1.0], [0.0, 2.0]])
+        assert _n_distinct(z) == _n_distinct(np.asfortranarray(z)) == 3
+        assert _n_distinct(z[:, :0]) == 1
 
 
 class TestTiedColumns:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsekm.datatypes import Partition
@@ -20,6 +20,35 @@ def cer_pair_loop(labels1, labels2):
             if (labels1[i] == labels1[j]) != (labels2[i] == labels2[j]):
                 disagree += 1
     return disagree / total
+
+
+def greedy_by_sort(counts):
+    """Reference alignment: visit the entries in order of (-count, row,
+    column), pin each whose row and column are both free, append the
+    leftover columns in index order; returns the column order and the
+    off-diagonal count under it."""
+    n_true, n_est = counts.shape
+    assigned, used_rows, used_cols = {}, set(), set()
+    for _, i, j in sorted((-int(counts[i, j]), i, j) for i in range(n_true) for j in range(n_est)):
+        if i not in used_rows and j not in used_cols:
+            assigned[i] = j
+            used_rows.add(i)
+            used_cols.add(j)
+    order = [assigned[i] for i in sorted(assigned)] + [j for j in range(n_est) if j not in used_cols]
+    aligned = counts[:, order]
+    return order, int(aligned.sum()) - sum(int(aligned[i, i]) for i in range(min(aligned.shape)))
+
+
+@st.composite
+def count_tables(draw):
+    """1 x 1 to 5 x 5 tables of small counts, so ties are common, with some
+    rows and columns set to all zeros."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    table = np.array(cells, dtype=np.int64).reshape(rows, cols)
+    table[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
+    table[:, draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0
+    return table
 
 
 def random_partition(rng, n, k):
@@ -115,6 +144,17 @@ class TestConfusion:
         assert cm.column_order() == [1, 0]
         assert cm.aligned().tolist() == [[4, 3], [2, 9]]
         assert cm.off_diagonal() == 18 - 13
+
+    @settings(max_examples=500)
+    @given(count_tables())
+    @example(np.array([[2, 2], [2, 2]]))
+    @example(np.array([[0, 0, 0], [0, 1, 1]]))
+    @example(np.zeros((4, 2), dtype=np.int64))
+    def test_greedy_alignment_matches_sort_reference(self, table):
+        cm = ConfusionMatrix(table)
+        order, off = greedy_by_sort(table)
+        assert cm.column_order() == order
+        assert cm.off_diagonal() == off
 
     def test_counts_readonly_and_validated(self):
         with pytest.raises(LengthMismatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sparsekm.datatypes import Dataset, trapezoid_weights
 from sparsekm.dispersion import Dispersion
 from sparsekm.errors import (
-    AllZeroAfterThreshold,
     DegenerateDispersion,
     GridMismatch,
     NonPositiveDispersion,
@@ -247,7 +246,7 @@ class TestSoftThreshold:
             assert w[0] == 0.0 and not np.signbit(w[0])
 
     def test_all_nonpositive_raises(self):
-        with pytest.raises(AllZeroAfterThreshold):
+        with pytest.raises(NonPositiveDispersion):
             soft_threshold_weights(Dispersion(np.maximum(np.array([-1.0, 0.0]), 0.0)), 1.0)
 
     def test_s_range_validated(self):
@@ -347,7 +346,7 @@ class TestFunctionalThreshold:
         assert wf.support_measure() == pytest.approx(0.4)
 
     def test_all_zero_dispersion_raises(self):
-        with pytest.raises(DegenerateDispersion):
+        with pytest.raises(NonPositiveDispersion):
             functional_threshold_weights(Dispersion(np.zeros(10), grid=np.linspace(0.0, 0.9, 10)), 0.4)
 
     def test_m_out_of_range(self):
