@@ -6,6 +6,7 @@ so downstream code can assume well-formed inputs without re-checking.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -161,10 +162,21 @@ class Dataset:
 
 def checked_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of a grid and of its trapezoid masses. The one grid check: at
-    least 2 finite, strictly increasing points, a finite span, no mass rounded to 0."""
+    least 2 finite, strictly increasing points, a finite span, no mass rounded to 0.
+
+    A grid that passes is held by its float64 bytes, with its copies, in a cache of
+    the last 16 grids, so a grid is checked once however many Datasets,
+    Weights and Dispersions are built on it, and every caller gets the same two
+    read-only arrays. A grid that fails is not held: it raises on every call."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 2:
         raise EmptyData("grid needs at least 2 points")
+    return _checked_grid(grid.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _checked_grid(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.frombuffer(raw)
     check_finite(grid, "grid point")
     with np.errstate(over="ignore"):  # a span past float64 is rejected below
         diffs, span, qw = np.diff(grid), grid[-1] - grid[0], trapezoid_weights(grid)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datatypes import (Dataset, Partition, SparseClusterResult, check_sample, count_m, l1_budget, measure_m,
-                        require_grid, whole_fields)
+from .datatypes import (Dataset, Dispersion, Partition, SparseClusterResult, check_sample, count_m, l1_budget,
+                        measure_m, require_grid, whole_fields)
 from .dispersion import (
     bcss_per_feature,
     bcss_pointwise,
@@ -84,9 +84,10 @@ def _restart_draws(seed: int, n_init: int, n: int, k: int) -> tuple[np.ndarray, 
     return firsts, uniforms
 
 
-def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
+def _kmeanspp_init(z: np.ndarray, sq: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     """D^2-sampled initial centroids (kmeans++ style) of n_init restarts, as
-    a fresh (n_init, k, a) stack.
+    a fresh (n_init, k, a) stack; ``sq`` holds the squared row norms of z,
+    np.add.reduce(z * z, axis=1).
 
     Restart r takes its draws from _restart_draws. Its picks are those of
     its exact D^2 rows, the sums of squared differences of _exact_picks, and
@@ -139,7 +140,7 @@ def _kmeanspp_init(z: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     firsts, uniforms = _restart_draws(seed, n_init, z.shape[0], k)
     picks = np.empty((n_init, k), dtype=np.intp)
     picks[:, 0] = firsts
-    redo = np.flatnonzero(~_certified_picks(z, picks, uniforms))
+    redo = np.flatnonzero(~_certified_picks(z, sq, picks, uniforms))
     if redo.size:
         _exact_picks(z, picks, uniforms, seed, redo)
     return z[picks]
@@ -174,7 +175,7 @@ def _exact_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray, seed: i
             p[j] = min(np.searchsorted(np.add.accumulate(d2), uniforms[r, j - 1] * total, side="right"), n - 1)
 
 
-def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _certified_picks(z: np.ndarray, sq: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Write every restart's picks after the first into ``picks`` from the
     bounds on its D^2 rows that _kmeanspp_init derives, and return the
     (n_init,) mask of the restarts whose every pick is certified. The other
@@ -182,12 +183,12 @@ def _certified_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> 
 
     Each pick of a block of S = _SEED_BLOCK_CELLS // n restarts, at least
     one, forms (S, n) bound rows from one product of the block's picked rows
-    with z; the arithmetic of the bounds is silent.
+    with z and the squared row norms ``sq``; the arithmetic of the bounds is
+    silent.
     """
     n, a = z.shape
     n_init, k = picks.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.add.reduce(z * z, axis=1)
         if not (a and sq.max() <= _NORM_CAP / n):  # a NaN norm compares False
             return np.zeros(n_init, dtype=bool)
         certified = np.ones(n_init, dtype=bool)
@@ -224,8 +225,9 @@ def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.
     return ((labels0[:, None, :] == np.arange(sizes.shape[1])[:, None]) @ z) / sizes[:, :, None]
 
 
-def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
-    """Lloyd iteration on an (S, k, a) stack of starts, run in lockstep.
+def _lloyd(z: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, max_iter: int):
+    """Lloyd iteration on an (S, k, a) stack of starts, run in lockstep, with
+    ``sq_norms`` the squared row norms of z, np.add.reduce(z * z, axis=1).
 
     Returns (labels, wcss, steps), one row or entry per start: the 0-based
     labels of its last assignment, their within-cluster sum of squares and
@@ -248,8 +250,7 @@ def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
     do at every shape the tests pin, where every start ends as it would
     alone, and can differ in the last bits at others, such as 60 x 60.
 
-    Besides the (S, n) labels, previous labels and flat offsets, and the
-    n·a squares of z while the row norms are formed, at most two S·n·k
+    Besides the (S, n) labels, previous labels and flat offsets, at most two S·n·k
     float64 arrays are alive at once: the distances and the doubled
     product while the distances are formed, and the float64 one-hot while
     the means are formed, once the distances are dropped.
@@ -259,7 +260,6 @@ def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
     labels = np.empty((n_starts, n), dtype=np.intp)
     wcss, steps = np.empty(n_starts), np.empty(n_starts, dtype=np.intp)
     live, prev = np.arange(n_starts), np.full_like(labels, -1)
-    sq_norms = np.add.reduce(z * z, axis=1)
     # flat offsets of each start's sizes, and of each (start, row)'s distances among the live starts'
     offsets = k * live[:, None]
     row_offsets = offsets + n_starts * k * np.arange(n)
@@ -388,12 +388,14 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     The starts, the warm start (when given) followed by n_init seeded
     kmeans++ draws, run as one stack in _lloyd. The first smallest finite
     WCSS wins, so earlier starts win ties. Putting the warm start first makes
-    the outer alternation's objective non-decreasing.
+    the outer alternation's objective non-decreasing. The squared row norms
+    are formed once, for the seeding and for Lloyd; past float64 they warn.
     """
-    starts = _kmeanspp_init(z, cfg.k, cfg.seed, cfg.n_init)
+    sq = np.add.reduce(z * z, axis=1)
+    starts = _kmeanspp_init(z, sq, cfg.k, cfg.seed, cfg.n_init)
     if warm is not None:
         starts = np.concatenate((_cluster_means(z, warm.labels[None] - 1, warm.sizes()[None]), starts))
-    labels, wcss, _ = _lloyd(z, starts, cfg.max_iter_lloyd)
+    labels, wcss, _ = _lloyd(z, sq, starts, cfg.max_iter_lloyd)
     wcss = np.where(np.isfinite(wcss), wcss, np.inf)  # a NaN never wins
     best = int(np.argmin(wcss))
     if wcss[best] == np.inf:
@@ -404,9 +406,28 @@ def _best_weighted_lloyd(z, cfg: KMeansConfig, warm: Partition | None):
     return Partition(_canonical_labels(labels[best]), cfg.k), float(wcss[best])
 
 
-# The row factor of at most one dataset under uniform_weights, keyed weakly by
-# that Dataset: dropped when it is collected, replaced by the next one formed.
-_UNIFORM_FACTOR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@dataclass(eq=False)
+class _Held:
+    """What is kept of the one Dataset held: its row factor under
+    uniform_weights, once formed (read-only), and the dispersion of each
+    partition an alternating fit has visited on it, by Partition.key()."""
+
+    factor: np.ndarray | None = None
+    dispersions: dict[bytes, Dispersion] = field(default_factory=dict)
+
+
+# The record of at most one Dataset, keyed weakly by it: dropped when the
+# Dataset is collected, replaced when another Dataset's record is made.
+_HELD: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _held(d) -> _Held:
+    """d's record, made in place of any other Dataset's if d has none."""
+    held = _HELD.get(d)
+    if held is None:
+        _HELD.clear()
+        held = _HELD[d] = _Held()
+    return held
 
 
 def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = None) -> Partition:
@@ -416,22 +437,24 @@ def weighted_kmeans(d, w, cfg: KMeansConfig, init_partition: Partition | None = 
     sets the number of clusters. An optional ``init_partition`` joins the
     restart pool as a warm start and wins ties. Under uniform_weights(d),
     entry for entry, a factor _row_factor forms (the active columns outnumber
-    the rows) is held read-only against d, and the next such call on d
-    reuses it with the same result. Nothing is held where Lloyd runs on the
+    the rows) is kept read-only in d's record (see _held), and the next such
+    call on d reuses it with the same result, until the record is dropped
+    with d or replaced by another Dataset's. The same record holds
+    _alternate's dispersion table, which grows by one entry per distinct
+    partition visited on d. Nothing is held where Lloyd runs on the
     transformed matrix itself: its rebuild is only a copy, and holding it
     would double the dataset's memory.
     """
     _check_start(cfg.k, d.n_obs, init_partition)
     w = _checked_weights(d, w)
     uniform = (w == _uniform_weight(d)).all()
-    z = _UNIFORM_FACTOR.get(d) if uniform else None
+    z = _HELD[d].factor if uniform and d in _HELD else None
     if z is None:
         x = _transformed_matrix(d, w)
         z = _row_factor(x)
         if uniform and z is not x:
             z.setflags(write=False)
-            _UNIFORM_FACTOR.clear()
-            _UNIFORM_FACTOR[d] = z
+            _held(d).factor = z
     part, _ = _best_weighted_lloyd(z, cfg, init_partition)
     return part
 
@@ -450,11 +473,18 @@ def _alternate(d, k, cfg, solve, start=None):
 
     ``solve`` maps a dispersion object to weights; the dispersion is
     bcss_pointwise on curves (``d.grid`` set), bcss_per_feature on vectors.
+    It depends on d and the partition alone, so it is computed once per
+    distinct partition visited on d, by any fit, and kept in d's record (see
+    _held): the fits of a gap scan's candidates, which share their start,
+    share their dispersions too. The table grows by one partition key and one
+    Dispersion per distinct partition, and goes with the record, when d is
+    collected or another Dataset's record replaces it.
+
     The loop begins at ``start``, or, when it is None, at weighted_kmeans
     under uniform_weights; that start does not depend on the sparsity, so a
     caller fitting one dataset at several sparsities can compute it once and
-    pass it in. The weights are a
-    function of the partition, so the loop stops when the partition repeats:
+    pass it in. The weights are a function of the partition, so the loop
+    stops when the partition repeats:
     a fixed point, or a cycle, whose revisited partition is returned. A run
     capped by max_iter_outer is not converged. Either way the returned
     weights and the last trace entry belong to the returned partition.
@@ -462,15 +492,19 @@ def _alternate(d, k, cfg, solve, start=None):
     cfg = replace(cfg, k=k)
     _check_start(cfg.k, d.n_obs, start)
     dispersion = bcss_per_feature if d.grid is None else bcss_pointwise
+    table = _held(d).dispersions
     part = weighted_kmeans(d, uniform_weights(d), cfg) if start is None else start
     trace, seen = [], set()
     while True:
-        disp = dispersion(d, part)
+        key = part.key()
+        disp = table.get(key)
+        if disp is None:
+            disp = table[key] = dispersion(d, part)
         weights = solve(disp)
         trace.append(weighted_objective(weights, disp))
-        if part.key() in seen or len(trace) >= cfg.max_iter_outer:
+        if key in seen or len(trace) >= cfg.max_iter_outer:
             break
-        seen.add(part.key())
+        seen.add(key)
         nxt = weighted_kmeans(d, weights, cfg, init_partition=part)
         if nxt == part:
             break
@@ -479,7 +513,7 @@ def _alternate(d, k, cfg, solve, start=None):
         partition=part,
         weights=weights,
         objective_trace=tuple(trace),
-        converged=part.key() in seen,
+        converged=key in seen,
     )
 
 

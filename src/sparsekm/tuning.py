@@ -110,7 +110,9 @@ def _gap_scan(d, k, candidates, b_perms, cfg, one_sd_rule, fit, permute):
 
     The uniform-weight start of a fit does not depend on m, so each dataset's
     start is computed once and shared by its candidates; a start that raises
-    excludes every candidate left.
+    excludes every candidate left. The candidates' fits on a dataset also
+    share its dispersions, which the engine keeps per partition (see
+    engine._alternate).
     """
     if not candidates:
         raise SparsityOutOfRange("m_grid is empty")

@@ -4,13 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sparsekm import experiments, tuning
+from sparsekm import datatypes, experiments, tuning
 from sparsekm.datatypes import (
     EPS_NORM,
     Dataset,
     Partition,
     SparseClusterResult,
     Weights,
+    checked_grid,
     objective_slack,
     trapezoid_weights,
     whole,
@@ -403,3 +404,50 @@ def test_whole():
         whole(0, "n", 1)
     with pytest.raises(SparsityOutOfRange, match=r"^m must be a whole number, got 1.5$"):
         whole(1.5, "m", error=SparsityOutOfRange)
+
+
+class TestCheckedGrid:
+    """A grid is checked once per distinct float64 bytes; its checked copies
+    are shared, and a rejected grid is never held."""
+
+    def test_equal_grids_share_read_only_arrays(self):
+        values = [0.0, 0.25, 0.5, 1.0, 2.0]
+        grid, qw = checked_grid(values)
+        for same in (tuple(values), np.array(values), np.array(values, dtype=np.float32)):
+            got = checked_grid(same)
+            assert got[0] is grid and got[1] is qw
+        assert grid.tolist() == values and np.array_equal(qw, trapezoid_weights(np.array(values)))
+        for arr in (grid, qw):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([0.0], EmptyData, "at least 2 points"),
+            ([0.0, np.nan, 1.0], NonFinite, "non-finite grid point at index 1"),
+            ([0.0, 1.0, 0.5], NonMonotoneGrid, "not strictly increasing at index 2"),
+            ([0.0, 5e-324, 1.0], GridMismatch, "masses must be positive"),
+        ],
+        ids=["one-point", "nan", "not-increasing", "zero-mass"],
+    )
+    def test_rejected_grid_raises_on_every_call(self, grid, error, message):
+        held = datatypes._checked_grid.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                checked_grid(grid)
+        assert datatypes._checked_grid.cache_info().currsize == held
+
+    def test_checked_once_for_every_type_on_the_grid(self, monkeypatch):
+        """A Dataset checks its grid; a Dispersion and a Weights on it do not
+        check it again, and all three hold the same arrays."""
+        checks = []
+        real = datatypes.trapezoid_weights
+        monkeypatch.setattr(datatypes, "trapezoid_weights", lambda g: checks.append(1) or real(g))
+        datatypes._checked_grid.cache_clear()
+        grid = np.linspace(0.0, 1.0, 5)
+        d = Dataset(np.zeros((2, 5)), grid=grid)
+        disp = Dispersion(np.ones(5), grid=list(grid))
+        w = Weights(np.full(5, 0.5), 0.25, grid=tuple(grid))
+        assert len(checks) == 1
+        assert d.grid is disp.grid is w.grid and d.quad_weights is disp.quad_weights is w.quad_weights

@@ -164,9 +164,14 @@ class TestWeightedKmeans:
             assert np.all(part.sizes() >= 1)
 
 
+def _norms(z):
+    """The squared row norms _best_weighted_lloyd forms once for seeding and Lloyd."""
+    return np.add.reduce(z * z, axis=1)
+
+
 def _lloyd_alone(z, centroids, max_iter):
     """_lloyd on a stack of one start, unpacked to (labels, wcss, steps)."""
-    labels, wcss, steps = _lloyd(z, centroids[None], max_iter)
+    labels, wcss, steps = _lloyd(z, _norms(z), centroids[None], max_iter)
     return labels[0], wcss[0], int(steps[0])
 
 
@@ -204,13 +209,13 @@ class TestLloydInternals:
         each start separately."""
         rng = np.random.default_rng(9)
         z = np.r_[rng.normal(0.0, 1.0, size=(40, 3)), rng.normal(2.0, 1.0, size=(40, 3))]
-        starts = _kmeanspp_init(z, 3, 0, 8)
+        starts = _kmeanspp_init(z, _norms(z), 3, 0, 8)
         assert starts.tobytes() == _ref_seeding_stack(z, 3, 0, 8).tobytes()
         alone = [_lloyd_alone(z, c, 100) for c in starts]
         own_steps = sorted({a[2] for a in alone})
         assert len(own_steps) >= 3
         for cap in (own_steps[0], own_steps[1], 100):
-            labels, wcss, steps = _lloyd(z, starts, cap)
+            labels, wcss, steps = _lloyd(z, _norms(z), starts, cap)
             for s, c in enumerate(starts):
                 want = _lloyd_alone(z, c, cap)
                 assert want[2] == min(alone[s][2], cap)
@@ -225,10 +230,10 @@ class TestLloydInternals:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(n, a))
         z[:, :3] += 3.0 * rng.normal(size=(k, 3))[rng.integers(k, size=n)]
-        starts = z[rng.choice(n, size=(n_starts, k))]
+        starts, sq = z[rng.choice(n, size=(n_starts, k))], _norms(z)
         tracemalloc.start()
         try:
-            _, _, steps = _lloyd(z, starts, 3)
+            _, _, steps = _lloyd(z, sq, starts, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -742,7 +747,7 @@ class TestMergeStop:
         as a fresh stack that _lloyd may overwrite."""
         for z, cfg, _ in lloyd_cases():
             k, n_init = int(cfg.k), int(cfg.n_init)
-            got = _kmeanspp_init(z, k, cfg.seed, n_init)
+            got = _kmeanspp_init(z, _norms(z), k, cfg.seed, n_init)
             assert got.shape == (n_init, k, z.shape[1])
             assert got.tobytes() == _ref_seeding_stack(z, k, cfg.seed, n_init).tobytes()
             assert got.flags.writeable and not np.shares_memory(got, z)
@@ -754,7 +759,7 @@ class TestMergeStop:
         for k in range(2, min(z.shape[0], 5) + 1):
             for seed in range(6):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, want = _kmeanspp_init(z, k, seed, 7), _ref_seeding_stack(z, k, seed, 7)
+                    got, want = _kmeanspp_init(z, _norms(z), k, seed, 7), _ref_seeding_stack(z, k, seed, 7)
                 assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -791,7 +796,7 @@ class TestMergeStop:
         elif rows == "tiny":  # squared differences underflow to 0: a zero D^2 total
             z *= 1e-170
         z = np.asarray(z, order=order)
-        got = _kmeanspp_init(z, k, seed, n_init)
+        got = _kmeanspp_init(z, _norms(z), k, seed, n_init)
         assert got.tobytes() == _ref_seeding_stack(z, k, seed, n_init).tobytes()
 
     @pytest.mark.parametrize("certifier", ["real", "none"])
@@ -803,9 +808,10 @@ class TestMergeStop:
             monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
         n, a, k, n_init = 100_000, 20, 5, 10
         z = np.random.default_rng(6).normal(size=(n, a))
+        sq = _norms(z)
         tracemalloc.start()
         try:
-            starts = _kmeanspp_init(z, k, 0, n_init)
+            starts = _kmeanspp_init(z, sq, k, 0, n_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -840,7 +846,7 @@ class TestMergeStop:
         z = rng.normal(size=(n, 2))
         labelings = np.stack([np.r_[np.arange(k), rng.integers(k, size=n - k)] for _ in wcss])
 
-        def fixed(z, centroids, max_iter):
+        def fixed(z, sq, centroids, max_iter):
             assert centroids.shape[0] == len(wcss)
             return labelings.copy(), np.array(wcss, dtype=float), np.ones(len(wcss), dtype=np.intp)
 
@@ -864,7 +870,7 @@ class TestMergeStop:
         assert part == parts[0]
 
 
-def _certify_nothing(z, picks, uniforms):
+def _certify_nothing(z, sq, picks, uniforms):
     """A _certified_picks that certifies no restart."""
     return np.zeros(len(picks), dtype=bool)
 
@@ -903,7 +909,7 @@ class TestCertifiedSeeding:
         real = engine._certified_picks
         monkeypatch.setattr(engine, "_certified_picks", counted)
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _kmeanspp_init(z, k, seed, n_init), _ref_seeding_stack(z, k, seed, n_init)
+            got, want = _kmeanspp_init(z, _norms(z), k, seed, n_init), _ref_seeding_stack(z, k, seed, n_init)
         assert got.tobytes() == want.tobytes()
         assert len(certified) == 1
         return certified[0]
@@ -959,7 +965,7 @@ class TestCertifiedSeeding:
         monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
         for seed in range(4):
             with np.errstate(over="ignore", invalid="ignore"):
-                got, want = _kmeanspp_init(z, k, seed, 11), _ref_seeding_stack(z, k, seed, 11)
+                got, want = _kmeanspp_init(z, _norms(z), k, seed, 11), _ref_seeding_stack(z, k, seed, 11)
             assert got.tobytes() == want.tobytes()
 
     def test_partial_fallback_replays_each_restart_stream(self, monkeypatch):
@@ -971,14 +977,14 @@ class TestCertifiedSeeding:
         seed, n_init = 7, 10
         fall_back = np.isin(np.arange(n_init), [1, 4, 5, 9])
 
-        def some(z, picks, uniforms):
+        def some(z, sq, picks, uniforms):
             real(z, picks, uniforms, seed, np.flatnonzero(~fall_back))
             return ~fall_back
 
         redone, real = [], engine._exact_picks
         monkeypatch.setattr(engine, "_certified_picks", some)
         monkeypatch.setattr(engine, "_exact_picks", lambda *args: redone.append(args[-1].tolist()) or real(*args))
-        got = _kmeanspp_init(z, 3, seed, n_init)
+        got = _kmeanspp_init(z, _norms(z), 3, seed, n_init)
         assert redone == [[1, 4, 5, 9]]
         assert got.tobytes() == _ref_seeding_stack(z, 3, seed, n_init).tobytes()
 
@@ -1007,7 +1013,20 @@ class TestCertifiedSeeding:
         for param in _benchmark_shapes():
             z, k = param.values
             for seed in range(3):
-                assert _kmeanspp_init(z, k, seed, 10).tobytes() == _ref_seeding_stack(z, k, seed, 10).tobytes()
+                got = _kmeanspp_init(z, _norms(z), k, seed, 10)
+                assert got.tobytes() == _ref_seeding_stack(z, k, seed, 10).tobytes()
+
+
+def test_row_norms_formed_once_per_call(monkeypatch):
+    """_best_weighted_lloyd hands one array of squared row norms, with the
+    bits of np.add.reduce(z * z, axis=1), to the certifier and to Lloyd."""
+    seen = []
+    for name in ("_certified_picks", "_lloyd"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda z, sq, *rest, real=real: seen.append(sq) or real(z, sq, *rest))
+    z = np.random.default_rng(3).normal(size=(50, 7))
+    _best_weighted_lloyd(z, KMeansConfig(k=3, n_init=4), Partition(np.arange(50) % 3 + 1, 3))
+    assert len(seen) == 2 and seen[0] is seen[1] and seen[0].tobytes() == _norms(z).tobytes()
 
 
 class TestCanonicalLabels:
@@ -1081,14 +1100,9 @@ class TestRowFactor:
 
 
 class TestUniformFactor:
-    """A cold uniform-weight call on a wide Dataset holds its row factor, so
-    the next such call on that Dataset reuses it; at most one is held."""
-
-    @pytest.fixture(autouse=True)
-    def _empty(self):
-        engine._UNIFORM_FACTOR.clear()
-        yield
-        engine._UNIFORM_FACTOR.clear()
+    """A cold uniform-weight call on a wide Dataset holds its row factor in
+    the Dataset's record, so the next such call on that Dataset reuses it;
+    at most one record is held."""
 
     @staticmethod
     def wide(seed=0, p=200):
@@ -1100,9 +1114,9 @@ class TestUniformFactor:
         factor = _row_factor(_transformed_matrix(d, w))
         for seed in (0, 9):
             cfg = KMeansConfig(k=3, seed=seed)
-            engine._UNIFORM_FACTOR.clear()
+            engine._HELD.clear()
             cold = weighted_kmeans(d, w, cfg)
-            assert engine._UNIFORM_FACTOR[d].tobytes() == factor.tobytes()
+            assert engine._HELD[d].factor.tobytes() == factor.tobytes()
             monkeypatch.setattr(engine, "_row_factor", _no_row_factor)
             warm = weighted_kmeans(d, uniform_weights(d), cfg)
             monkeypatch.undo()
@@ -1134,17 +1148,17 @@ class TestUniformFactor:
         first, second = self.wide(seed=1), self.wide(seed=2)
         cfg = KMeansConfig(k=3, n_init=2)
         weighted_kmeans(first, uniform_weights(first), cfg)
-        assert len(engine._UNIFORM_FACTOR) == 1 and first in engine._UNIFORM_FACTOR
+        assert len(engine._HELD) == 1 and first in engine._HELD
         weighted_kmeans(second, uniform_weights(second), cfg)
-        assert len(engine._UNIFORM_FACTOR) == 1 and second in engine._UNIFORM_FACTOR
+        assert len(engine._HELD) == 1 and second in engine._HELD
         del second
         gc.collect()
-        assert len(engine._UNIFORM_FACTOR) == 0
+        assert len(engine._HELD) == 0
 
     def test_held_factor_is_read_only(self):
         d = self.wide()
         weighted_kmeans(d, uniform_weights(d), KMeansConfig(k=3, n_init=2))
-        held = engine._UNIFORM_FACTOR[d]
+        held = engine._HELD[d].factor
         assert not held.flags.writeable
         with pytest.raises(ValueError):
             held[0, 0] = 1.0
@@ -1160,7 +1174,7 @@ class TestUniformFactor:
         weighted_kmeans(repeated, uniform_weights(repeated), cfg)
         weighted_kmeans(wide, uniform_weights(wide) * 2.0, cfg)
         weighted_kmeans(wide, uniform_weights(wide) * 2.0, cfg, init_partition=start)
-        assert len(engine._UNIFORM_FACTOR) == 0
+        assert len(engine._HELD) == 0
 
     def test_warm_call_holds_and_reuses_the_factor(self, monkeypatch):
         """Whether the factor is held or reused is decided by the weights
@@ -1169,7 +1183,7 @@ class TestUniformFactor:
         w, cfg = uniform_weights(d), KMeansConfig(k=3, n_init=2, seed=3)
         start = Partition(np.arange(d.n_obs) % 3 + 1, 3)
         first = weighted_kmeans(d, w, cfg, init_partition=start)
-        factor = engine._UNIFORM_FACTOR[d]
+        factor = engine._HELD[d].factor
         monkeypatch.setattr(engine, "_transformed_matrix", _no_row_factor)
         monkeypatch.setattr(engine, "_row_factor", _no_row_factor)
         again = weighted_kmeans(d, w, cfg, init_partition=start)

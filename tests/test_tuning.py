@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -454,6 +456,82 @@ def test_overflow_is_excluded_not_a_usage_error():
     d, _ = gen_mv(MvScenario(p=50, seed=0))
     with pytest.warns(RuntimeWarning), pytest.raises(DegenerateObjective, match="every candidate"):
         tune_m_mv(Dataset(d.values * 1e160), 3, [40], b_perms=1)
+
+
+HELD_SCANS = [
+    pytest.param(tune_m_fd, lambda: gen_fd(FdScenario(n_grid=40, n_per_class=15, seed=2))[0], 2,
+                 [0.2, 0.4, 0.6], id="fd"),
+    pytest.param(tune_m_mv, lambda: gen_mv(MvScenario(p=12, q=3, seed=2))[0], 3, [2, 5, 8], id="mv"),
+]
+CURVE_FIELDS = ("m_grid", "gap", "obs_log_obj", "perm_log_obj_mean", "perm_log_obj_sd", "excluded")
+
+
+def curve_bytes(result):
+    m_star, curve = result
+    return [np.float64(m_star).tobytes(), curve.b_perms] + [getattr(curve, f).tobytes() for f in CURVE_FIELDS]
+
+
+class _Forgetful(dict):
+    """A dispersion table emptied before every lookup: it never hits."""
+
+    def get(self, key, default=None):
+        self.clear()
+        return default
+
+
+class TestHeldDispersions:
+    """The fits of a scan on one Dataset share its table of dispersions."""
+
+    @pytest.mark.parametrize("tune, data, k, grid", HELD_SCANS)
+    def test_same_bytes_as_a_table_that_never_hits(self, monkeypatch, tune, data, k, grid):
+        d, cfg = data(), KMeansConfig(n_init=3, seed=5)
+        held = tune(d, k, grid, b_perms=3, cfg=cfg)
+        real = engine._held
+
+        def forgetful(d):
+            record = real(d)
+            record.dispersions = _Forgetful()
+            return record
+
+        monkeypatch.setattr(engine, "_held", forgetful)
+        assert curve_bytes(held) == curve_bytes(tune(d, k, grid, b_perms=3, cfg=cfg))
+
+    @pytest.mark.parametrize("tune, data, k, grid", HELD_SCANS)
+    def test_one_dispersion_per_distinct_partition(self, monkeypatch, tune, data, k, grid):
+        """Each (Dataset, partition) pair is scored once, although the fits
+        look dispersions up more often than that."""
+        scored, lookups = [], []
+        for name in ("bcss_per_feature", "bcss_pointwise"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda d, p, real=real: scored.append((d, p.key())) or real(d, p))
+        objective = engine.weighted_objective
+        monkeypatch.setattr(engine, "weighted_objective", lambda w, disp: lookups.append(disp) or objective(w, disp))
+        tune(data(), k, grid, b_perms=3, cfg=KMeansConfig(n_init=3, seed=5))
+        pairs = {(id(d), key) for d, key in scored}  # each d is kept alive by ``scored``
+        assert len(scored) == len(pairs) < len(lookups)
+
+    @pytest.mark.parametrize("tune, data, k, grid", HELD_SCANS)
+    def test_second_scan_same_bytes(self, tune, data, k, grid):
+        """A scan whose observed Dataset's table an earlier scan and a fit on
+        it filled gives the bytes of the first."""
+        d, cfg = data(), KMeansConfig(n_init=3, seed=5)
+        first = tune(d, k, grid, b_perms=3, cfg=cfg)
+        fit = engine.sparse_kmeans_fd if d.grid is not None else engine.sparse_kmeans_mv
+        fit(d, k, first[0], cfg)
+        assert list(engine._HELD) == [d] and engine._HELD[d].dispersions
+        assert curve_bytes(tune(d, k, grid, b_perms=3, cfg=cfg)) == curve_bytes(first)
+
+    def test_at_most_one_dataset_held(self):
+        cfg = KMeansConfig(n_init=2, seed=1)
+        first, second = (gen_fd(FdScenario(n_grid=40, n_per_class=15, seed=s))[0] for s in (1, 2))
+        engine.sparse_kmeans_fd(first, 2, 0.4, cfg)
+        assert list(engine._HELD) == [first] and engine._HELD[first].dispersions
+        engine.sparse_kmeans_fd(second, 2, 0.4, cfg)
+        assert list(engine._HELD) == [second]
+        gone = weakref.ref(first)
+        del first, second
+        gc.collect()
+        assert len(engine._HELD) == 0 and gone() is None
 
 
 def test_tune_m_mv_rejects_a_grid():
