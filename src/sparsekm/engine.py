@@ -59,10 +59,7 @@ class KMeansConfig:
         whole_fields(self, k=2, n_init=1, max_iter_lloyd=1, max_iter_outer=1, seed=None)
 
 
-_SEED_BLOCK_CELLS = 1 << 16  # cells of the (S, n) bound rows _certified_picks forms for S restarts at once
-_UNIT = 2.0**-53  # the unit roundoff u of float64
-_TINY = 2.0**-1022  # the smallest normal float64
-_NORM_CAP = np.finfo(np.float64).max / 8  # n times the largest squared row norm the bounds take
+_SEED_BLOCK_CELLS = 1 << 16  # cells of the (S, n) D^2 rows _kmeanspp_init forms for S restarts at once
 
 
 @functools.lru_cache(maxsize=1024)
@@ -87,136 +84,57 @@ def _restart_draws(seed: int, n_init: int, n: int, k: int) -> tuple[np.ndarray, 
 def _kmeanspp_init(z: np.ndarray, sq: np.ndarray, k: int, seed: int, n_init: int) -> np.ndarray:
     """D^2-sampled initial centroids (kmeans++ style) of n_init restarts, as
     a fresh (n_init, k, a) stack; ``sq`` holds the squared row norms of z,
-    np.add.reduce(z * z, axis=1).
+    np.add.reduce(z * z, axis=1), the array _lloyd reads.
 
-    Restart r takes its draws from _restart_draws. Its picks are those of
-    its exact D^2 rows, the sums of squared differences of _exact_picks, and
-    each of its picks is the first index whose cumulative D^2 sum is above
-    the threshold fl(u_r·T), T the D^2 total, or n - 1 when none is.
-    _certified_picks picks every restart first from one product per pick
-    and proves, from bounds on those rows, that the exact rows would pick
-    the same; the restarts it cannot certify, and only those, are picked
-    again by _exact_picks, each under its own restart index, so that a zero
-    total replays its own stream. Every restart picks as it would drawing
-    from its own stream one draw after another.
+    Restart r takes its draws from _restart_draws. The D^2 row of a pick p
+    is the Gram form of the distances Lloyd's step reads, from the same
+    norms: max(sq_i + sq_p - 2 z_i·z_p, 0). Each later pick keeps the
+    running minimum of its restart's rows and is the first index whose
+    cumulative sum is above fl(u·T), with T the total and u the restart's
+    uniform, or n - 1 when none is: a NaN or infinite total, above which no
+    sum lies, picks n - 1. Where T is exactly 0, every entry is 0 and stays
+    0, so this and every later pick is a uniform integers(n): the stream
+    spawn_rng(seed, STREAM_RESTART, r) is replayed up to the first of them
+    and draws the rest. Rows past float64 warn. Equal rows need not be
+    exactly 0 apart in the Gram form; in the tests that moves a pick only
+    on data with fewer distinct rows than k, where _lloyd raises
+    TooFewDistinctRows.
 
-    The bounds follow Higham, "Accuracy and Stability of Numerical
-    Algorithms" (2nd ed.), ch. 3, with u = 2^-53 and g_m = mu/(1 - mu).
-    Rows are compared with the Gram form D~_i = s_i + s_p - 2 z_i·z_p of
-    the row norms s, whose true value is t_i = |z_i - z_p|^2:
-
-    - An exact row, a sum of non-negative rounded squares of rounded
-      differences, is within g_(a+2)·t_i of t_i in any summation order; the
-      Gram form, in any BLAS order and with or without FMA, within
-      g_(a+3)·(|z_i|^2 + |z_p|^2 + 2|z_i·z_p|). With N = s_i + s_p,
-      t_i <= 2N and 2|z_i·z_p| <= N, so the two lie within 4·g_(a+3)·N of
-      each other, and underflow adds less than a·2^-1022. The radius
-      r = 8(a + 8)u·N + a·2^-1022 leaves room for its own roundings and
-      those of lo = max(D~ - r, 0) and hi = D~ + r, which bound the exact
-      row. For k >= 3 the running minima of the lo rows and of the hi rows,
-      taken apart, bound the exact running minimum.
-    - A sum of n non-negative terms is within g_n of its true sum in any
-      order, and an addition that underflows is exact. With w = 4(n + 8)u,
-      (1 - w)·CL and (1 + w)·CH, CL and CH the cumulative sums of the lo and
-      hi rows, bound the exact cumulative sums and the exact total T. As
-      rounding is monotone, the thresholds fl(u_r(1 - w)^2·CL[-1]) and
-      fl(u_r(1 + w)^2·CH[-1]) lie on either side of fl(u_r·T), and where
-      they are normal, their second factor (1 -/+ w) carries the widening of
-      the CH and CL they are compared with. Below 2^-1022 the sums at or
-      under a threshold were formed exactly, and the a·2^-1022 of the radius
-      lifts the exact sums above them past 2^-1022.
-    - The cumulative sums never fall, so the n_lo indices whose CH is at or
-      below the low threshold are not above the exact one, and every index
-      past the n_hi whose CL is at or below the high threshold is. A pick
-      min(n_hi, n - 1) is certified when n_lo reaches it: the exact pick lies
-      between the two.
-
-    A zero exact total is never certified: every hi entry is positive, so
-    n_lo = 0 while n_hi = n. Nothing is certified when a = 0,
-    or when a squared row norm is above _NORM_CAP / n or not finite, so that
-    every bound, sum and threshold is finite; the exact picks there make the
-    RuntimeWarnings they make alone.
-    """
-    firsts, uniforms = _restart_draws(seed, n_init, z.shape[0], k)
-    picks = np.empty((n_init, k), dtype=np.intp)
-    picks[:, 0] = firsts
-    redo = np.flatnonzero(~_certified_picks(z, sq, picks, uniforms))
-    if redo.size:
-        _exact_picks(z, picks, uniforms, seed, redo)
-    return z[picks]
-
-
-def _exact_picks(z: np.ndarray, picks: np.ndarray, uniforms: np.ndarray, seed: int, restarts: np.ndarray) -> None:
-    """Write the picks after the first of the given restarts into ``picks``,
-    from their exact D^2 rows, one restart at a time: each pick has the bits
-    of its restart seeded alone from its own stream, one draw after another.
-
-    Each pick of restart r forms the D^2 row of the pick before it and keeps
-    the running minimum; a pick is the first index whose cumulative D^2 sum
-    is above u·total, searchsorted(side="right") capped at n - 1, so a NaN
-    total, which no sum is above, picks n - 1. Where the total is 0, every
-    D^2 entry is 0 and stays 0, so this and every later pick is a uniform
-    integers(n): the stream spawn_rng(seed, STREAM_RESTART, r) is replayed up
-    to the first of them and draws the rest.
+    The restarts are seeded in blocks of S = max(1, _SEED_BLOCK_CELLS // n),
+    so that a few (S, n) arrays are alive at once; each pick forms its
+    block's rows from one product of the block's picked rows with zᵀ. With
+    one restart in a block, that is the pick's own product z[[p]] @ zᵀ.
+    Otherwise, as with the columns of Lloyd's one product, the BLAS may
+    round a row in the last bits differently, which moves a pick only where
+    cancellation swamps the distances, as on data offset by 1e7 or more.
     """
     n = z.shape[0]
-    for r in restarts.tolist():
-        p, d2 = picks[r], None
-        for j in range(1, picks.shape[1]):
-            row = np.add.reduce((z - z[p[j - 1]]) ** 2, axis=1)
-            d2 = row if d2 is None else np.minimum(d2, row, out=d2)
-            total = np.add.reduce(d2)
-            if total == 0.0:
-                rng = spawn_rng(seed, STREAM_RESTART, r)
-                rng.integers(n)
-                rng.random(j - 1)
-                p[j:] = [rng.integers(n) for _ in range(j, len(p))]
-                break
-            p[j] = min(np.searchsorted(np.add.accumulate(d2), uniforms[r, j - 1] * total, side="right"), n - 1)
-
-
-def _certified_picks(z: np.ndarray, sq: np.ndarray, picks: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Write every restart's picks after the first into ``picks`` from the
-    bounds on its D^2 rows that _kmeanspp_init derives, and return the
-    (n_init,) mask of the restarts whose every pick is certified. The other
-    restarts' picks may be wrong.
-
-    Each pick of a block of S = _SEED_BLOCK_CELLS // n restarts, at least
-    one, forms (S, n) bound rows from one product of the block's picked rows
-    with z and the squared row norms ``sq``; the arithmetic of the bounds is
-    silent.
-    """
-    n, a = z.shape
-    n_init, k = picks.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (a and sq.max() <= _NORM_CAP / n):  # a NaN norm compares False
-            return np.zeros(n_init, dtype=bool)
-        certified = np.ones(n_init, dtype=bool)
-        scale, tiny, widen = 8 * (a + 8) * _UNIT, a * _TINY, 4 * (n + 8) * _UNIT
-        u_lo, u_hi = uniforms * (1.0 - widen) ** 2, uniforms * (1.0 + widen) ** 2
-        zt, block = z.T, max(1, _SEED_BLOCK_CELLS // n)
-        for r0 in range(0, n_init, block):
-            p, ok = picks[r0 : r0 + block], certified[r0 : r0 + block]
-            lows = ups = None
-            for j in range(1, k):
-                prev = p[:, j - 1]
-                rows = z[prev] @ zt
-                rad = sq + sq[prev, None]
-                rows *= -2.0
-                rows += rad  # the Gram form of the D^2 rows
-                rad *= scale
-                rad += tiny
-                up = rows + rad
-                low = np.subtract(rows, rad, out=rows)
-                np.maximum(low, 0.0, out=low)
-                lows = low if lows is None else np.minimum(lows, low, out=lows)
-                ups = up if ups is None else np.minimum(ups, up, out=ups)
-                cum_lo, cum_hi = np.add.accumulate(lows, axis=1), np.add.accumulate(ups, axis=1)
-                lim_lo = u_lo[r0 : r0 + block, j - 1] * cum_lo[:, -1]
-                lim_hi = u_hi[r0 : r0 + block, j - 1] * cum_hi[:, -1]
-                np.minimum(np.add.reduce(cum_lo <= lim_hi[:, None], axis=1), n - 1, out=p[:, j])
-                ok &= np.add.reduce(cum_hi <= lim_lo[:, None], axis=1) >= p[:, j]
-    return certified
+    firsts, uniforms = _restart_draws(seed, n_init, n, k)
+    picks, totals = np.empty((n_init, k), dtype=np.intp), np.empty((n_init, k - 1))
+    picks[:, 0] = firsts
+    zt, block = z.T, max(1, _SEED_BLOCK_CELLS // n)
+    for r0 in range(0, n_init, block):
+        p, u, t = picks[r0 : r0 + block], uniforms[r0 : r0 + block], totals[r0 : r0 + block]
+        d2 = None
+        for j in range(1, k):
+            prev = p[:, j - 1]
+            rows = z[prev] @ zt
+            rows *= -2.0
+            rows += sq + sq[prev, None]
+            np.maximum(rows, 0.0, out=rows)
+            d2 = rows if d2 is None else np.minimum(d2, rows, out=d2)
+            cum = np.add.accumulate(d2, axis=1)
+            t[:, j - 1] = cum[:, -1]
+            # the first index above the threshold is n less the count above it
+            above = np.add.reduce(cum > (u[:, j - 1] * t[:, j - 1])[:, None], axis=1)
+            p[:, j] = n - np.maximum(above, 1)
+    for r in np.flatnonzero((totals == 0.0).any(axis=1)).tolist():
+        j = int(np.argmax(totals[r] == 0.0)) + 1
+        rng = spawn_rng(seed, STREAM_RESTART, r)
+        rng.integers(n)
+        rng.random(j - 1)
+        picks[r, j:] = [rng.integers(n) for _ in range(j, k)]
+    return z[picks]
 
 
 def _cluster_means(z: np.ndarray, labels0: np.ndarray, sizes: np.ndarray) -> np.ndarray:

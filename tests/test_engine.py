@@ -596,6 +596,30 @@ def _ref_seeding_stack(z, k, seed, n_init):
     return np.stack([_ref_kmeanspp_init(z, k, spawn_rng(seed, STREAM_RESTART, r)) for r in range(n_init)])
 
 
+def _ref_gram_seeding_stack(z, k, seed, n_init):
+    """The Gram-form picks of restarts 0..n_init-1, one restart at a time:
+    each D^2 row is max(sq_i + sq_p - 2 z_i·z_p, 0) from the pick's own
+    product z[[p]] @ z.T, and each pick searches the cumulative sums of the
+    running minimum; a zero total draws a uniform index."""
+    n = z.shape[0]
+    sq = np.add.reduce(z * z, axis=1)
+    stack = []
+    for r in range(n_init):
+        rng = spawn_rng(seed, STREAM_RESTART, r)
+        picks = [int(rng.integers(n))]
+        for j in range(1, k):
+            p = picks[-1]
+            row = np.maximum((sq + sq[p]) - 2.0 * (z[[p]] @ z.T)[0], 0.0)
+            d2 = row if j == 1 else np.minimum(d2, row)
+            cum = np.cumsum(d2)
+            if cum[-1] == 0.0:
+                picks.append(int(rng.integers(n)))
+            else:
+                picks.append(min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1))
+        stack.append(z[picks])
+    return np.stack(stack)
+
+
 def _ref_lloyd(z, k, centroids, max_iter, means):
     n = z.shape[0]
     rows = np.arange(n)
@@ -693,6 +717,25 @@ def _assert_as_reference(z, cfg, warm, means):
     return np.float64(got[1]).tobytes(), np.float64(want[1]).tobytes()
 
 
+def _assert_seeding_pinned(z, k, seed, n_init, exact):
+    """With one restart per block, _kmeanspp_init on z has the bytes of the
+    Gram-form reference. When ``exact``, it has those of the exact-sum
+    reference at the blocks in force, or, with fewer distinct rows than k,
+    the fit raises TooFewDistinctRows instead."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(engine, "_SEED_BLOCK_CELLS", 1)
+        alone = _kmeanspp_init(z, _norms(z), k, seed, n_init)
+    assert alone.tobytes() == _ref_gram_seeding_stack(z, k, seed, n_init).tobytes()
+    if not exact:
+        return
+    if _n_distinct(z) < k:
+        with pytest.raises(TooFewDistinctRows, match=f"distinct rows for k={k} clusters"):
+            _best_weighted_lloyd(z, KMeansConfig(k=k, n_init=n_init, seed=seed), None)
+    else:
+        got = _kmeanspp_init(z, _norms(z), k, seed, n_init)
+        assert got.tobytes() == _ref_seeding_stack(z, k, seed, n_init).tobytes()
+
+
 DEGENERATE_TOTALS = [
     np.zeros((6, 2)),
     np.full((9, 3), 2.5),
@@ -776,13 +819,13 @@ class TestMergeStop:
     @example(n=256, per_block=1, edge=0, n_init=12, k=6, rows="rounded", order="C", seed=1)  # n·a = 2**16
     @example(n=64, per_block=4, edge=0, n_init=10, k=4, rows="duplicated", order="F", seed=2)  # n·a = 2**14
     def test_seeding_blocks_same_bits_as_reference(self, n, per_block, edge, n_init, k, rows, order, seed):
-        """Seeding picks as the reference's restarts one after another at n·a
-        of about 2**16 // per_block cells, below, at and above 2**16, over
-        tied, duplicated, equal and underflowing rows, in C and in Fortran
+        """Seeding picks as the reference's restarts one after another
+        whichever restarts share a block: _SEED_BLOCK_CELLS is set to
+        n·per_block + edge, so that the blocks hold per_block restarts, or
+        one fewer. The rows have about 2**16 // (per_block·n) columns and
+        are tied, duplicated, equal or underflowing, in C and in Fortran
         order (the transformed matrices of the fits are often
-        Fortran-ordered, and the order of a row's sum follows the layout).
-        The exact seeder has no blocks: it seeds the restarts the certified
-        picks leave, one at a time."""
+        Fortran-ordered, and the order of a row's sum follows the layout)."""
         k = min(k, n)
         a = max(1, (2**16 // per_block) // n + edge)
         rng = np.random.default_rng(seed)
@@ -796,16 +839,13 @@ class TestMergeStop:
         elif rows == "tiny":  # squared differences underflow to 0: a zero D^2 total
             z *= 1e-170
         z = np.asarray(z, order=order)
-        got = _kmeanspp_init(z, _norms(z), k, seed, n_init)
-        assert got.tobytes() == _ref_seeding_stack(z, k, seed, n_init).tobytes()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(engine, "_SEED_BLOCK_CELLS", n * per_block + edge)
+            _assert_seeding_pinned(z, k, seed, n_init, exact=True)
 
-    @pytest.mark.parametrize("certifier", ["real", "none"])
-    def test_seeding_peak_memory(self, monkeypatch, certifier):
-        """One call at n = 10**5, a = 20 traces within 20 MB, about one
-        (n, a) array of differences besides the (n,) D^2 rows, whether the
-        picks are certified or every restart is seeded from the exact sums."""
-        if certifier == "none":
-            monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
+    def test_seeding_peak_memory(self):
+        """One call at n = 10**5, a = 20 traces within 20 MB: one restart
+        per block, and a few (1, n) rows alive at once."""
         n, a, k, n_init = 100_000, 20, 5, 10
         z = np.random.default_rng(6).normal(size=(n, a))
         sq = _norms(z)
@@ -870,49 +910,56 @@ class TestMergeStop:
         assert part == parts[0]
 
 
-def _certify_nothing(z, sq, picks, uniforms):
-    """A _certified_picks that certifies no restart."""
-    return np.zeros(len(picks), dtype=bool)
-
-
 def _benchmark_shapes():
-    """The matrices the workloads seed: 200 curves under level-set weights
-    (Fortran-ordered), 1002 x 500 and the 60 x 60 row factor of p = 2000."""
-    fd, _ = gen_fd(FdScenario(seed=0))
-    for m in (0.1, 0.5, 0.9):
-        z = _transformed_matrix(fd, sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=0)).weights.w)
-        assert z.flags.f_contiguous and not z.flags.c_contiguous
-        yield pytest.param(z, 2, id=f"curves-200x{z.shape[1]}-F")
-    yield pytest.param(np.random.default_rng(5).normal(size=(1002, 500)), 3, id="1002x500")
+    """(z, k) of the matrices the workloads seed, for generator seeds 0-2:
+    200 curves under uniform and level-set weights (Fortran-ordered), 60
+    vectors of 50 features, and 1002 x 500 and the 60 x 60 row factor of
+    p = 2000."""
+    for s in range(3):
+        fd, _ = gen_fd(FdScenario(seed=s))
+        yield _transformed_matrix(fd, uniform_weights(fd)), 2
+        for m in (0.1, 0.5, 0.9):
+            z = _transformed_matrix(fd, sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=s)).weights.w)
+            assert z.flags.f_contiguous and not z.flags.c_contiguous
+            yield z, 2
+        d, _ = gen_mv(MvScenario(p=50, seed=s))
+        yield _transformed_matrix(d, uniform_weights(d)), 3
+    yield np.random.default_rng(5).normal(size=(1002, 500)), 3
     wide, _ = gen_mv(MvScenario(p=2000, seed=0))
     factor = _row_factor(_transformed_matrix(wide, uniform_weights(wide)))
     assert factor.shape == (60, 60)
-    yield pytest.param(factor, 3, id="factor-60x60")
+    yield factor, 3
 
 
-class TestCertifiedSeeding:
-    """Each kmeans++ pick is certified from bounds on its D^2 rows, or the
-    restart is seeded again from the exact sums: either way, the bits of the
-    reference's restarts one after another."""
+def _seeding_inputs():
+    """Tables seeded by the pins of TestGramSeeding, with ``exact`` where the
+    exact-sum pins hold: finite squares and offsets of at most 1e6."""
+    d, _ = gen_mv(MvScenario(p=50, seed=0))
+    w = uniform_weights(d)
+    yield pytest.param(np.random.default_rng(0).normal(size=(200, 30)), 4, True, id="gaussian-200x30")
+    yield pytest.param(np.random.default_rng(1).normal(size=(40, 3)) + 3e5, 3, True, id="shifted-3e5-40x3")
+    yield pytest.param(np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0), 3, True, id="two-rows")
+    yield pytest.param(_transformed_matrix(Dataset(d.values + 3e5), w), 3, True, id="mv-shifted-3e5")
+    for offset in (1e7, 1e8):
+        yield pytest.param(_transformed_matrix(Dataset(d.values + offset), w), 3, False, id=f"mv-shifted-{offset:.0e}")
+        z = np.asfortranarray(np.random.default_rng(2).normal(size=(200, 30)) + offset)
+        yield pytest.param(z, 4, False, id=f"gaussian-shifted-{offset:.0e}-F")
+    # squares past float64
+    yield pytest.param(_transformed_matrix(Dataset(d.values * 1e155), w), 3, False, id="mv-scaled-1e155")
+    yield pytest.param(np.random.default_rng(3).normal(size=(60, 8)) * 1e160, 3, False, id="gaussian-scaled-1e160")
+    for i, z in enumerate(DEGENERATE_TOTALS):
+        with np.errstate(over="ignore"):
+            exact = bool(np.isfinite(_norms(z)).all())
+        for k in range(2, min(z.shape[0], 5) + 1):
+            yield pytest.param(z, k, exact, id=f"degenerate{i}-k{k}")
 
-    @staticmethod
-    def _seed_counted(monkeypatch, z, k, seed, n_init):
-        """_kmeanspp_init on z, checked against the reference's bytes, and
-        the number of its restarts the certifier certified."""
-        certified = []
 
-        def counted(*args):
-            mask = real(*args)
-            certified.append(int(mask.sum()))
-            return mask
-
-        real = engine._certified_picks
-        monkeypatch.setattr(engine, "_certified_picks", counted)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _kmeanspp_init(z, _norms(z), k, seed, n_init), _ref_seeding_stack(z, k, seed, n_init)
-        assert got.tobytes() == want.tobytes()
-        assert len(certified) == 1
-        return certified[0]
+class TestGramSeeding:
+    """Each kmeans++ pick is taken from the Gram-form D^2 rows: with one
+    restart per block, the bits of the Gram-form reference's restarts one
+    after another on every input; at any block size, those of the exact-sum
+    reference's on data with finite squares, offsets of at most 1e6 and at
+    least k distinct rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -921,7 +968,7 @@ class TestCertifiedSeeding:
         k=st.integers(2, 6),
         n_init=st.integers(1, 12),
         rows=st.sampled_from(["gaussian", "rounded", "duplicated", "equal"]),
-        offset=st.sampled_from([0.0, 1e5, 1e6, 1e8]),
+        offset=st.sampled_from([0.0, 1e5, 1e6, 1e7, 1e8]),
         scale=st.sampled_from([1.0, 1e-170, 1e150]),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32),
@@ -930,10 +977,15 @@ class TestCertifiedSeeding:
     @example(n=300, a=40, k=6, n_init=12, rows="gaussian", offset=1e8, scale=1.0, order="F", seed=1)
     @example(n=120, a=8, k=4, n_init=7, rows="rounded", offset=1e6, scale=1e-170, order="C", seed=2)
     @example(n=200, a=30, k=5, n_init=10, rows="duplicated", offset=1e5, scale=1e150, order="F", seed=3)
+    @example(n=250, a=20, k=4, n_init=9, rows="gaussian", offset=1e7, scale=1.0, order="C", seed=4)
+    # fewer distinct rows than k, where the Gram-form and exact-sum picks differ
+    @example(n=18, a=26, k=6, n_init=11, rows="duplicated", offset=0.0, scale=1.0, order="F", seed=1777440590)
+    @example(n=10, a=26, k=3, n_init=7, rows="duplicated", offset=1e6, scale=1.0, order="C", seed=2305092260)
     def test_same_bits_as_reference(self, n, a, k, n_init, rows, offset, scale, order, seed):
         """Over offsets where cancellation hides the gaps, scales whose
-        squares underflow or near the float64 limit, tied, duplicated and
-        equal rows, no columns, and C and Fortran order."""
+        squares underflow or pass float64, tied, duplicated and equal rows,
+        no columns, and C and Fortran order. Offsets of 1e7 and more leave
+        the exact-sum pins, as do squares past float64."""
         k = min(k, n)
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(n, a))
@@ -944,84 +996,43 @@ class TestCertifiedSeeding:
         elif rows == "equal":
             z = np.full((n, a), 2.5)
         z = np.asarray((z + offset) * scale, order=order)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            self._seed_counted(monkeypatch, z, k, seed, n_init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = offset <= 1e6 and bool(np.isfinite(_norms(z)).all())
+            _assert_seeding_pinned(z, k, seed, n_init, exact)
 
-    @pytest.mark.parametrize(
-        "z, k",
-        [
-            (np.random.default_rng(0).normal(size=(200, 30)), 4),
-            (np.random.default_rng(1).normal(size=(40, 3)) + 3e5, 3),
-            (np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0), 3),
-            *_benchmark_shapes(),
-            *[(z, k) for z in DEGENERATE_TOTALS for k in range(2, min(z.shape[0], 5) + 1)],
-        ],
-    )
-    def test_forced_fallback_same_bits(self, monkeypatch, z, k):
-        """With a certifier that certifies nothing, every restart is seeded
-        from the exact sums alone: at the shapes the workloads seed, where
-        the certified picks normally serve, and where the D^2 total is 0,
+    @pytest.mark.parametrize("z, k, exact", _seeding_inputs())
+    def test_same_bits_as_references_on_fixed_tables(self, z, k, exact):
+        """Shifted tables, squares past float64, and D^2 totals that are 0,
         NaN or infinite."""
-        monkeypatch.setattr(engine, "_certified_picks", _certify_nothing)
         for seed in range(4):
             with np.errstate(over="ignore", invalid="ignore"):
-                got, want = _kmeanspp_init(z, _norms(z), k, seed, 11), _ref_seeding_stack(z, k, seed, 11)
-            assert got.tobytes() == want.tobytes()
+                _assert_seeding_pinned(z, k, seed, 11, exact)
 
-    def test_partial_fallback_replays_each_restart_stream(self, monkeypatch):
-        """Only restarts 1, 4, 5 and 9 fall back, and each meets a zero total
-        at its third pick (two distinct rows, k = 3): the uniform draw that
-        follows replays the stream of its own restart index, not of its place
-        among the restarts that fell back."""
+    def test_zero_total_replays_its_own_restart_stream(self, monkeypatch):
+        """In blocks of 3 restarts, every restart meets a zero total at its
+        third pick (two distinct rows, k = 3): the uniform draw that follows
+        replays the stream of its own restart index, not of its place in its
+        block."""
         z = np.repeat([[0.0, 1.0], [3.0, -2.0]], 5, axis=0)
         seed, n_init = 7, 10
-        fall_back = np.isin(np.arange(n_init), [1, 4, 5, 9])
-
-        def some(z, sq, picks, uniforms):
-            real(z, picks, uniforms, seed, np.flatnonzero(~fall_back))
-            return ~fall_back
-
-        redone, real = [], engine._exact_picks
-        monkeypatch.setattr(engine, "_certified_picks", some)
-        monkeypatch.setattr(engine, "_exact_picks", lambda *args: redone.append(args[-1].tolist()) or real(*args))
+        monkeypatch.setattr(engine, "_SEED_BLOCK_CELLS", 3 * z.shape[0])
         got = _kmeanspp_init(z, _norms(z), 3, seed, n_init)
-        assert redone == [[1, 4, 5, 9]]
         assert got.tobytes() == _ref_seeding_stack(z, 3, seed, n_init).tobytes()
-
-    def test_every_restart_certified_at_benchmark_shapes(self, monkeypatch):
-        """200 curves of 200 points at k = 2, under uniform and level-set
-        weights, and 60 vectors of 50 features at k = 3."""
-        for s in range(3):
-            fd, _ = gen_fd(FdScenario(seed=s))
-            for m in (None, 0.1, 0.5, 0.9):
-                w = uniform_weights(fd) if m is None else sparse_kmeans_fd(fd, 2, m, KMeansConfig(seed=s)).weights
-                z = _transformed_matrix(fd, getattr(w, "w", w))
-                assert self._seed_counted(monkeypatch, z, 2, s, 10) == 10
-            d, _ = gen_mv(MvScenario(p=50, seed=s))
-            z = _transformed_matrix(d, uniform_weights(d))
-            assert self._seed_counted(monkeypatch, z, 3, s, 10) == 10
-
-    def test_restarts_fall_back_on_a_shifted_table(self, monkeypatch):
-        """Features shifted by 3e5 hide the D^2 gaps under the cancellation
-        of the Gram form: restarts fall back and still pick as the reference."""
-        d, _ = gen_mv(MvScenario(p=50, seed=0))
-        z = _transformed_matrix(Dataset(d.values + 3e5), uniform_weights(d))
-        assert self._seed_counted(monkeypatch, z, 3, 0, 10) < 10
+        assert got.tobytes() == _ref_gram_seeding_stack(z, 3, seed, n_init).tobytes()
 
     def test_seeding_same_bits_at_benchmark_shapes(self):
-        """The shapes the workloads seed, which lloyd_cases does not reach."""
-        for param in _benchmark_shapes():
-            z, k = param.values
+        """The shapes the workloads seed, which lloyd_cases does not reach:
+        the bits of both references."""
+        for z, k in _benchmark_shapes():
             for seed in range(3):
-                got = _kmeanspp_init(z, _norms(z), k, seed, 10)
-                assert got.tobytes() == _ref_seeding_stack(z, k, seed, 10).tobytes()
+                _assert_seeding_pinned(z, k, seed, 10, exact=True)
 
 
 def test_row_norms_formed_once_per_call(monkeypatch):
     """_best_weighted_lloyd hands one array of squared row norms, with the
-    bits of np.add.reduce(z * z, axis=1), to the certifier and to Lloyd."""
+    bits of np.add.reduce(z * z, axis=1), to the seeding and to Lloyd."""
     seen = []
-    for name in ("_certified_picks", "_lloyd"):
+    for name in ("_kmeanspp_init", "_lloyd"):
         real = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda z, sq, *rest, real=real: seen.append(sq) or real(z, sq, *rest))
     z = np.random.default_rng(3).normal(size=(50, 7))
